@@ -118,6 +118,5 @@ int main(int argc, char** argv) {
       util::format("noise → %s, walk → %s",
                    noise_fc.best_predictor().c_str(),
                    walk_fc.best_predictor().c_str())));
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

@@ -177,6 +177,5 @@ int main(int argc, char** argv) {
         return penalty / static_cast<double>(rows.size()) < 0.25;
       }(),
       ""));
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

@@ -99,6 +99,5 @@ int main(int argc, char** argv) {
         return close * 2 >= trials;
       }(),
       ""));
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

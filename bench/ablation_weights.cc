@@ -98,6 +98,5 @@ int main(int argc, char** argv) {
       comm_times.back() >= comm_times[comm_best],
       util::format("alpha=1: %.3f s, best %.3f s", comm_times.back(),
                    comm_times[comm_best])));
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

@@ -95,6 +95,5 @@ int main(int argc, char** argv) {
       "communication share grows with node count (the paper's mechanism)",
       last_comm > first_comm,
       util::format("%.0f%% → %.0f%%", first_comm * 100, last_comm * 100)));
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

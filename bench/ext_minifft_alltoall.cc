@@ -115,6 +115,5 @@ int main(int argc, char** argv) {
       "alltoall is placement-order insensitive (within 5%)",
       std::abs(fft_block - fft_cyclic) <= 0.05 * fft_block,
       util::format("%.3f vs %.3f s", fft_block, fft_cyclic)));
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

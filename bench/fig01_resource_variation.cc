@@ -146,6 +146,5 @@ int main(int argc, char** argv) {
       "network I/O varies a lot over time (CoV > 0.3)", netio_avg.cov > 0.3,
       util::format("CoV %.2f", netio_avg.cov)));
   std::cout << "\n";
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

@@ -161,6 +161,5 @@ int main(int argc, char** argv) {
       util::format("means %.0f / %.0f / %.0f", pair_means[0], pair_means[1],
                    pair_means[2])));
   std::cout << "\n";
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

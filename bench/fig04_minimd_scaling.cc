@@ -106,6 +106,5 @@ int main(int argc, char** argv) {
       cov_ours < cov_seq,
       util::format("ours %.3f, load-aware %.3f, sequential %.3f", cov_ours,
                    cov_load, cov_seq)));
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

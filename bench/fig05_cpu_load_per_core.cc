@@ -101,6 +101,5 @@ int main(int argc, char** argv) {
       util::format("%.2f s vs %.2f s",
                    pooled_time(exp::Policy::kNetworkLoadAware),
                    pooled_time(exp::Policy::kLoadAware))));
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

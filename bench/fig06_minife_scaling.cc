@@ -84,6 +84,5 @@ int main(int argc, char** argv) {
   checks.push_back(exp::check(
       "positive average gain over load-aware (paper: 34.8%)",
       vs_load.average > 0.0, util::format("%.1f%%", vs_load.average * 100)));
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

@@ -115,8 +115,11 @@ std::vector<std::pair<cluster::NodeId, cluster::NodeId>> strided_pairs(
   return pairs;
 }
 
-/// The churned-tick setup shared by the delta benches: one mutable snapshot
-/// whose dirty subset is rewritten in place before every timed update.
+/// The churned-tick setup shared by the delta benches: every tick copies
+/// the current snapshot and rewrites the copy's dirty subset, outside the
+/// timed region. The copy is needed because update() re-reads dirty pairs'
+/// old terms from the snapshot it last saw; `previous` keeps that one alive
+/// until the next churn, so its release is never timed either.
 struct DeltaFixture {
   DeltaFixture(int n, int churn_pct)
       : snap(std::make_shared<monitor::ClusterSnapshot>(
@@ -128,9 +131,11 @@ struct DeltaFixture {
                    1, static_cast<long long>(n) * (n - 1) / 2 * churn_pct /
                           100))) {}
 
-  /// Rewrites the dirty subset with fresh values, bumps the version, and
-  /// returns the matching delta.
+  /// Copies the snapshot, rewrites the copy's dirty subset with fresh
+  /// values, bumps its version, and returns the matching delta.
   monitor::SnapshotDelta churn() {
+    previous = std::move(snap);
+    snap = std::make_shared<monitor::ClusterSnapshot>(*previous);
     for (const cluster::NodeId id : dirty_nodes) {
       auto& node = snap->nodes[static_cast<std::size_t>(id)];
       const double load = rng.uniform(0.0, 6.0);
@@ -157,13 +162,14 @@ struct DeltaFixture {
   }
 
   std::shared_ptr<monitor::ClusterSnapshot> snap;
+  std::shared_ptr<const monitor::ClusterSnapshot> previous;
   sim::Rng rng;
   std::vector<cluster::NodeId> dirty_nodes;
   std::vector<std::pair<cluster::NodeId, cluster::NodeId>> dirty_pairs;
 };
 
 /// Incremental path: apply a churn% delta to primed prepared state. Manual
-/// time so the in-place snapshot mutation stays out of the measurement.
+/// time so the snapshot copy and rewrite stay out of the measurement.
 void BM_DeltaUpdate(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int churn_pct = static_cast<int>(state.range(1));

@@ -12,8 +12,9 @@
 //   BM_TiledFullRebuild/V/T  tiled-state rebuild (block_size 64, dense NL
 //                          suppressed above the limit): per-tile partials
 //                          folded in canonical tile order.
-//   BM_DeltaApply1pct/V/T  one epoch refresh from a 1%-dirty delta:
-//                          sharded O(dirty) apply + NL rematerialization.
+//   BM_DeltaApply1pct/V/T  one epoch refresh from a 1%-dirty delta: the
+//                          O(dirty) apply (one block, so one shard) + NL
+//                          rematerialization.
 //   BM_LogIngest/ahead     DeltaLogReader replay of a 64-delta log with
 //                          decode-ahead off/on (CRC+decode of frame k+1
 //                          overlaps the apply of frame k).
@@ -167,9 +168,16 @@ void BM_DeltaApply1pct(benchmark::State& state) {
   const int dirty = v / 100;
   std::uint64_t version = snap->version;
   int phase = 0;
+  // update() re-reads dirty pairs' old terms from the snapshot it last saw,
+  // so every tick rewrites a fresh copy; `previous` outlives the timed
+  // update so the old copy is released untimed too.
+  std::shared_ptr<const monitor::ClusterSnapshot> previous;
   for (auto _ : state) {
+    state.PauseTiming();
+    previous = std::move(snap);
+    snap = std::make_shared<monitor::ClusterSnapshot>(*previous);
     // 1% of nodes re-sampled and 1% of pairs re-measured, spread across the
-    // cluster; mutate in place and advance the version chain.
+    // cluster; advance the version chain.
     monitor::SnapshotDelta delta;
     delta.base_version = version;
     delta.version = ++version;
@@ -199,6 +207,7 @@ void BM_DeltaApply1pct(benchmark::State& state) {
         delta.dirty_pairs.end());
     snap->version = version;
     ++phase;
+    state.ResumeTiming();
 
     if (!builder.update(snap, delta)) {
       state.SkipWithError("delta apply fell back to a full rebuild");

@@ -87,6 +87,5 @@ int main(int argc, char** argv) {
       util::format("%.0f%% / %.0f%% / %.0f%%", table[0].measured.max * 100,
                    table[1].measured.max * 100,
                    table[2].measured.max * 100)));
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

@@ -78,6 +78,5 @@ int main(int argc, char** argv) {
         util::format("%.1f%% (paper %.1f%%)", row.measured.average * 100,
                      row.paper_average * 100)));
   }
-  exp::print_shape_checks(std::cout, checks);
-  return 0;
+  return exp::print_shape_checks(std::cout, checks) == 0 ? 0 : 1;
 }

@@ -122,230 +122,6 @@ double ExactSum::to_double() const {
          std::ldexp(static_cast<double>(limbs_[0]), -80);
 }
 
-void NlState::read_pair(const monitor::ClusterSnapshot& snapshot,
-                        cluster::NodeId u, cluster::NodeId v, std::size_t k) {
-  const auto uu = static_cast<std::size_t>(u);
-  const auto vv = static_cast<std::size_t>(v);
-  lat_raw_[k] = snapshot.net.latency_us[uu][vv];
-  const double bw = snapshot.net.bandwidth_mbps[uu][vv];
-  const double peak = snapshot.net.peak_mbps[uu][vv];
-  comp_raw_[k] = (bw < 0.0 || peak < 0.0) ? -1.0 : std::max(0.0, peak - bw);
-}
-
-void NlState::full_build(const monitor::ClusterSnapshot& snapshot,
-                         std::span<const cluster::NodeId> nodes,
-                         const NetworkLoadWeights& weights,
-                         util::ThreadPool* pool) {
-  weights.validate();
-  weights_ = weights;
-  n_ = nodes.size();
-  const std::size_t pair_count = n_ < 2 ? 0 : n_ * (n_ - 1) / 2;
-  lat_raw_.resize(pair_count);
-  comp_raw_.resize(pair_count);
-  pair_i_.resize(pair_count);
-  pair_j_.resize(pair_count);
-
-  const auto matrix_size = static_cast<std::size_t>(snapshot.net.size());
-  lat_acc_.reset();
-  comp_acc_.reset();
-  lat_missing_ = 0;
-  comp_missing_ = 0;
-
-  // Per-range partial totals. Each row range writes disjoint slices of the
-  // raw/reverse-map arrays and accumulates into its own partial; the fold
-  // below (canonical range order, exact integer addition) makes the result
-  // equal to accumulating every pair straight into the globals, bit for
-  // bit, regardless of the range count.
-  struct RangeTotals {
-    ExactSum lat;
-    ExactSum comp;
-    std::uint64_t lat_missing = 0;
-    std::uint64_t comp_missing = 0;
-  };
-  const std::size_t ranges = range_count_for(pool, n_);
-  const std::vector<std::size_t> bounds = balanced_row_bounds(n_, ranges);
-  std::vector<RangeTotals> partials(ranges);
-  const auto build_rows = [&](std::size_t r) {
-    RangeTotals& part = partials[r];
-    for (std::size_t i = bounds[r]; i < bounds[r + 1]; ++i) {
-      const auto ui = static_cast<std::size_t>(nodes[i]);
-      NLARM_CHECK(ui < matrix_size) << "pair out of snapshot";
-      std::size_t k = pair_index(i, i + 1);
-      for (std::size_t j = i + 1; j < n_; ++j, ++k) {
-        const auto vj = static_cast<std::size_t>(nodes[j]);
-        NLARM_CHECK(vj < matrix_size) << "pair out of snapshot";
-        NLARM_CHECK(vj != ui) << "pair metrics of a self pair";
-        pair_i_[k] = static_cast<std::uint32_t>(i);
-        pair_j_[k] = static_cast<std::uint32_t>(j);
-        read_pair(snapshot, nodes[i], nodes[j], k);
-        const double lat = lat_raw_[k];
-        if (lat >= 0.0) {
-          part.lat.add(lat);
-        } else {
-          ++part.lat_missing;
-        }
-        const double comp = comp_raw_[k];
-        if (comp >= 0.0) {
-          part.comp.add(comp);
-        } else {
-          ++part.comp_missing;
-        }
-      }
-    }
-  };
-  if (ranges <= 1) {
-    if (n_ > 0) build_rows(0);
-  } else {
-    pool->parallel_for(ranges, build_rows);
-  }
-  for (const RangeTotals& part : partials) {
-    lat_acc_.add(part.lat);
-    comp_acc_.add(part.comp);
-    lat_missing_ += part.lat_missing;
-    comp_missing_ += part.comp_missing;
-  }
-  recompute_scalars();
-}
-
-void NlState::account_add(std::size_t k) {
-  const double lat = lat_raw_[k];
-  if (lat >= 0.0) {
-    lat_acc_.add(lat);
-  } else {
-    ++lat_missing_;
-  }
-  const double comp = comp_raw_[k];
-  if (comp >= 0.0) {
-    comp_acc_.add(comp);
-  } else {
-    ++comp_missing_;
-  }
-}
-
-void NlState::account_remove(std::size_t k) {
-  const double lat = lat_raw_[k];
-  if (lat >= 0.0) {
-    lat_acc_.sub(lat);
-  } else {
-    --lat_missing_;
-  }
-  const double comp = comp_raw_[k];
-  if (comp >= 0.0) {
-    comp_acc_.sub(comp);
-  } else {
-    --comp_missing_;
-  }
-}
-
-void NlState::patch_pair(const monitor::ClusterSnapshot& snapshot,
-                         std::span<const cluster::NodeId> nodes,
-                         std::size_t i, std::size_t j) {
-  NLARM_CHECK(i < j && j < n_) << "bad pair position (" << i << ", " << j
-                               << ")";
-  const std::size_t k = pair_index(i, j);
-  account_remove(k);
-  read_pair(snapshot, nodes[i], nodes[j], k);
-  account_add(k);
-}
-
-void NlState::refresh_dirty() { recompute_scalars(); }
-
-void NlState::patch_pairs(const monitor::ClusterSnapshot& snapshot,
-                          std::span<const cluster::NodeId> nodes,
-                          std::span<const PairPosition> pairs,
-                          util::ThreadPool* pool) {
-  const std::size_t pair_count = lat_raw_.size();
-  if (pairs.empty() || pair_count == 0) return;
-  // Re-reading dirty cells is a random walk over three V×V matrices;
-  // prefetching a handful of pairs ahead overlaps the DRAM misses instead
-  // of serializing them (both the serial loop and each shard queue below).
-  constexpr std::size_t kAhead = 16;
-  const auto& lat_m = snapshot.net.latency_us;
-  const auto& bw_m = snapshot.net.bandwidth_mbps;
-  const auto& peak_m = snapshot.net.peak_mbps;
-  const auto prefetch = [&](std::span<const PairPosition> queue,
-                            std::size_t a) {
-    if (a + kAhead >= queue.size()) return;
-    const PairPosition& f = queue[a + kAhead];
-    const auto fu = static_cast<std::size_t>(nodes[f.i]);
-    const auto fv = static_cast<std::size_t>(nodes[f.j]);
-    __builtin_prefetch(lat_m[fu] + fv);
-    __builtin_prefetch(bw_m[fu] + fv);
-    __builtin_prefetch(peak_m[fu] + fv);
-    prefetch_pair(f.i, f.j);
-  };
-
-  const std::size_t shards = range_count_for(pool, pairs.size());
-  if (shards <= 1) {
-    for (std::size_t a = 0; a < pairs.size(); ++a) {
-      prefetch(pairs, a);
-      patch_pair(snapshot, nodes, pairs[a].i, pairs[a].j);
-    }
-    return;
-  }
-
-  // Shard by contiguous pair-index range: duplicates of one pair share an
-  // index, so they land in one shard and replay there in delta order —
-  // exactly the serial sequence of raw-array writes. Each shard folds its
-  // swaps into one exact (new − old) delta (sub() wraps mod 2²⁵⁶, so a
-  // net-negative delta is fine); adding the shard deltas to the globals in
-  // canonical shard order restores the serial totals bit for bit.
-  struct Shard {
-    std::vector<PairPosition> queue;
-    ExactSum lat_delta;
-    ExactSum comp_delta;
-    std::int64_t lat_missing_delta = 0;
-    std::int64_t comp_missing_delta = 0;
-  };
-  std::vector<Shard> shard_v(shards);
-  for (const PairPosition& p : pairs) {
-    NLARM_CHECK(p.i < p.j && p.j < n_)
-        << "bad pair position (" << p.i << ", " << p.j << ")";
-    const std::size_t k = pair_index(p.i, p.j);
-    shard_v[k * shards / pair_count].queue.push_back(p);
-  }
-  pool->parallel_for(shards, [&](std::size_t s) {
-    Shard& shard = shard_v[s];
-    const std::span<const PairPosition> queue(shard.queue);
-    for (std::size_t a = 0; a < queue.size(); ++a) {
-      prefetch(queue, a);
-      const PairPosition& p = queue[a];
-      const std::size_t k = pair_index(p.i, p.j);
-      const double old_lat = lat_raw_[k];
-      if (old_lat >= 0.0) {
-        shard.lat_delta.sub(old_lat);
-      } else {
-        --shard.lat_missing_delta;
-      }
-      const double old_comp = comp_raw_[k];
-      if (old_comp >= 0.0) {
-        shard.comp_delta.sub(old_comp);
-      } else {
-        --shard.comp_missing_delta;
-      }
-      read_pair(snapshot, nodes[p.i], nodes[p.j], k);
-      const double new_lat = lat_raw_[k];
-      if (new_lat >= 0.0) {
-        shard.lat_delta.add(new_lat);
-      } else {
-        ++shard.lat_missing_delta;
-      }
-      const double new_comp = comp_raw_[k];
-      if (new_comp >= 0.0) {
-        shard.comp_delta.add(new_comp);
-      } else {
-        ++shard.comp_missing_delta;
-      }
-    }
-  });
-  for (const Shard& shard : shard_v) {
-    lat_acc_.add(shard.lat_delta);
-    comp_acc_.add(shard.comp_delta);
-    lat_missing_ += static_cast<std::uint64_t>(shard.lat_missing_delta);
-    comp_missing_ += static_cast<std::uint64_t>(shard.comp_missing_delta);
-  }
-}
-
 NlScalars compute_nl_scalars(double lat_sum, double comp_sum,
                              std::uint64_t lat_missing,
                              std::uint64_t comp_missing, std::size_t pairs,
@@ -371,49 +147,6 @@ NlScalars compute_nl_scalars(double lat_sum, double comp_sum,
   s.rescale =
       weight_sum > 0.0 ? static_cast<double>(pairs) / weight_sum : 1.0;
   return s;
-}
-
-void NlState::recompute_scalars() {
-  // The totals come out of the exact accumulators — order-independent, so
-  // the same whether every pair was just re-accumulated (full build) or a
-  // few contributions were swapped in place (incremental). That identity is
-  // what makes the two paths bit-identical.
-  const NlScalars s =
-      compute_nl_scalars(lat_acc_.to_double(), comp_acc_.to_double(),
-                         lat_missing_, comp_missing_, lat_raw_.size(),
-                         weights_);
-  lat_fill_ = s.lat_fill;
-  comp_fill_ = s.comp_fill;
-  lat_s_ = s.lat_s;
-  comp_s_ = s.comp_s;
-  rescale_ = s.rescale;
-}
-
-void NlState::materialize(util::FlatMatrix& out,
-                          util::ThreadPool* pool) const {
-  out.assign(n_, 0.0);
-  const NlScalars s{lat_fill_, comp_fill_, lat_s_, comp_s_, rescale_};
-  const std::size_t pairs = lat_raw_.size();
-  const auto fill = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) {
-      const double value = nl_value_from_raw(lat_raw_[k], comp_raw_[k], s,
-                                             weights_);
-      const std::size_t i = pair_i_[k];
-      const std::size_t j = pair_j_[k];
-      out[i][j] = value;
-      out[j][i] = value;
-    }
-  };
-  // Each pair owns two cells nobody else writes, and the value depends only
-  // on shared immutable state — any partition of k is bit-identical.
-  const std::size_t ranges = range_count_for(pool, pairs);
-  if (ranges <= 1) {
-    fill(0, pairs);
-    return;
-  }
-  pool->parallel_for(ranges, [&](std::size_t r) {
-    fill(pairs * r / ranges, pairs * (r + 1) / ranges);
-  });
 }
 
 void TiledNlState::full_build(const PairSource& source,
@@ -517,8 +250,7 @@ void TiledNlState::full_build(const PairSource& source,
   }
   // Fold the tile accumulators into the global totals. Limb addition is
   // associative and commutative, so this equals accumulating every pair
-  // straight into the global sums — which is what the flat NlState does —
-  // bit for bit.
+  // straight into the global sums, bit for bit, whatever the partition.
   for (std::size_t t = 0; t < tiles; ++t) {
     lat_acc_.add(tile_lat_[t]);
     comp_acc_.add(tile_comp_[t]);
@@ -577,8 +309,11 @@ void TiledNlState::patch_pairs(const PairSource& old_source,
                                util::ThreadPool* pool) {
   if (pairs.empty()) return;
   const std::size_t tiles = tile_pairs_.size();
-  const std::size_t shards = range_count_for(pool, pairs.size());
-  if (shards <= 1 || tiles == 0) {
+  // A shard owns whole tiles, so one block means one shard: a one-block
+  // delta (about a thousand pairs per tick) is microseconds of serial work.
+  const std::size_t shards =
+      std::min(range_count_for(pool, pairs.size()), tiles);
+  if (shards <= 1) {
     for (const PairPosition& p : pairs) {
       patch_pair(old_source, new_source, nodes, p.i, p.j);
     }
@@ -770,11 +505,15 @@ void prepared_network_loads(const monitor::ClusterSnapshot& snapshot,
                             std::span<const cluster::NodeId> nodes,
                             const NetworkLoadWeights& weights,
                             util::FlatMatrix& out) {
-  // Reused per thread so repeated one-shot preparations (the classic
-  // allocator path) allocate nothing in steady state.
-  thread_local detail::NlState state;
-  state.full_build(snapshot, nodes, weights);
-  state.materialize(out);
+  // The source borrows the caller's snapshot (an empty-owner aliasing
+  // pointer) for the length of this call.
+  detail::TiledNlState state;
+  const SnapshotPairSource source(
+      std::shared_ptr<const monitor::ClusterSnapshot>(
+          std::shared_ptr<const void>(), &snapshot));
+  state.full_build(source, nodes, util::BlockPartition::fixed(nodes.size(), 0),
+                   weights);
+  state.materialize_dense(source, nodes, out);
 }
 
 PreparedBuilder::PreparedBuilder(RequestProfile profile)
@@ -832,30 +571,24 @@ void PreparedBuilder::rebuild(
     pos_of_[static_cast<std::size_t>(usable_[i])] =
         static_cast<std::int32_t>(i);
   }
-  if (tiling_) {
-    // Tiled mode keeps NO per-pair storage: pair state lives in O(G²) tile
-    // accumulators, and the dense matrix (when still wanted) is
-    // materialized straight from the snapshot at build().
-    util::BlockPartition partition;
-    if (tiling_->block_size > 0) {
-      partition =
-          util::BlockPartition::fixed(usable_.size(), tiling_->block_size);
-    } else {
-      std::vector<std::int32_t> labels(usable_.size());
-      for (std::size_t i = 0; i < usable_.size(); ++i) {
-        labels[i] = snapshot_
-                        ->nodes[static_cast<std::size_t>(usable_[i])]
-                        .spec.switch_id;
-      }
-      partition = util::BlockPartition::from_labels(labels);
-    }
-    const SnapshotPairSource source(snapshot_);
-    tiled_state_.full_build(source, usable_, std::move(partition),
-                            profile_.network_weights, pool_);
+  // No per-pair storage: pair state lives in O(G²) tile accumulators, and
+  // the dense matrix (when wanted) is materialized straight from the
+  // snapshot at build().
+  util::BlockPartition partition;
+  if (!tiling_ || tiling_->block_size > 0) {
+    partition = util::BlockPartition::fixed(
+        usable_.size(), tiling_ ? tiling_->block_size : 0);
   } else {
-    nl_state_.full_build(*snapshot_, usable_, profile_.network_weights,
-                         pool_);
+    std::vector<std::int32_t> labels(usable_.size());
+    for (std::size_t i = 0; i < usable_.size(); ++i) {
+      labels[i] = snapshot_->nodes[static_cast<std::size_t>(usable_[i])]
+                      .spec.switch_id;
+    }
+    partition = util::BlockPartition::from_labels(labels);
   }
+  pair_state_.full_build(SnapshotPairSource(snapshot_), usable_,
+                         std::move(partition), profile_.network_weights,
+                         pool_);
   recompute_node_state();
   version_ = snapshot_->version;
   time_ = snapshot_->time;
@@ -908,14 +641,9 @@ bool PreparedBuilder::update(
     }
   }
 
-  obs::ScopedSpan span("prepared.update",
-                       &obs::metrics::prepared_update_seconds());
-  obs::metrics::prepared_incremental_updates().inc();
-
   // Resolve dirty pairs to working-set positions up front (delta order is
   // preserved, duplicates included), then hand the whole batch to the pair
-  // state — sharded over the refresh pool when one is attached, serial
-  // (with the same prefetch-ahead) otherwise.
+  // state — sharded over the refresh pool when one is attached.
   std::vector<detail::PairPosition> resolved;
   resolved.reserve(delta.dirty_pairs.size());
   for (const auto& [u, v] : delta.dirty_pairs) {
@@ -927,20 +655,23 @@ bool PreparedBuilder::update(
          static_cast<std::uint32_t>(std::max(pu, pv))});
   }
   const std::size_t applied_pairs = resolved.size();
+  // Patching re-reads a pair's old terms from the retained snapshot; one
+  // mutated in place no longer holds them.
+  if (applied_pairs > 0 && snapshot == snapshot_) {
+    return fall_back("snapshot mutated in place");
+  }
+
+  obs::ScopedSpan span("prepared.update",
+                       &obs::metrics::prepared_update_seconds());
+  obs::metrics::prepared_incremental_updates().inc();
   if (applied_pairs > 0) {
-    if (tiling_) {
-      // Tiled patching re-reads a pair's previous raw terms from the
-      // retained previous snapshot — the same values the accumulators last
-      // absorbed — so no per-pair storage is needed for the swap.
-      const SnapshotPairSource old_source(snapshot_);
-      const SnapshotPairSource new_source(snapshot);
-      tiled_state_.patch_pairs(old_source, new_source, usable_, resolved,
-                               pool_);
-      tiled_state_.refresh_dirty();
-    } else {
-      nl_state_.patch_pairs(*snapshot, usable_, resolved, pool_);
-      nl_state_.refresh_dirty();
-    }
+    // The retained previous snapshot holds exactly the terms the
+    // accumulators last absorbed, so no per-pair storage is needed for the
+    // swap.
+    pair_state_.patch_pairs(SnapshotPairSource(snapshot_),
+                            SnapshotPairSource(snapshot), usable_, resolved,
+                            pool_);
+    pair_state_.refresh_dirty();
     nl_stale_ = true;
     if (pool_ != nullptr && pool_->thread_count() > 0) {
       obs::metrics::refresh_parallel_applies().inc();
@@ -965,45 +696,36 @@ bool PreparedBuilder::update(
 
 std::shared_ptr<PreparedSnapshot> PreparedBuilder::build() {
   NLARM_CHECK(has_state_) << "build() before rebuild()";
-  if (tiling_) {
-    if (nl_stale_ || tiles_cache_ == nullptr) {
-      auto source = std::make_shared<SnapshotPairSource>(snapshot_);
+  if (nl_stale_) {
+    auto source = std::make_shared<SnapshotPairSource>(snapshot_);
+    if (tiling_) {
       auto tiles = std::make_shared<TiledPairState>();
-      tiles->partition = tiled_state_.partition();
+      tiles->partition = pair_state_.partition();
       tiles->weights = profile_.network_weights;
-      tiles->scalars = tiled_state_.scalars();
+      tiles->scalars = pair_state_.scalars();
       tiles->nodes = usable_;
       tiles->source = source;
       const std::size_t tile_count = tiles->partition.tile_count();
       tiles->tiles.resize(tile_count);
       for (std::size_t t = 0; t < tile_count; ++t) {
-        tiles->tiles[t] = {tiled_state_.tile_lat_mean(t),
-                           tiled_state_.tile_comp_mean(t),
-                           tiled_state_.tile_pairs(t)};
+        tiles->tiles[t] = {pair_state_.tile_lat_mean(t),
+                           pair_state_.tile_comp_mean(t),
+                           pair_state_.tile_pairs(t)};
       }
       tiles_cache_ = std::move(tiles);
-      if (usable_.size() <= tiling_->dense_nl_limit) {
-        auto matrix = std::make_shared<util::FlatMatrix>();
-        tiled_state_.materialize_dense(*source, usable_, *matrix, pool_);
-        nl_cache_ = std::move(matrix);
-      } else {
-        nl_cache_ = nullptr;
-      }
-      nl_stale_ = false;
-      obs::metrics::prepared_nl_materializations().inc();
-    } else {
-      // Node-only tick: pair state unchanged, so the previous tiled state
-      // (and its source snapshot) is shared with the new epoch — the tiled
-      // twin of the shared dense-NL fast path below.
-      obs::metrics::prepared_nl_reuses().inc();
     }
-  } else if (nl_stale_ || nl_cache_ == nullptr) {
-    auto matrix = std::make_shared<util::FlatMatrix>();
-    nl_state_.materialize(*matrix, pool_);
-    nl_cache_ = std::move(matrix);
+    if (!tiling_ || usable_.size() <= tiling_->dense_nl_limit) {
+      auto matrix = std::make_shared<util::FlatMatrix>();
+      pair_state_.materialize_dense(*source, usable_, *matrix, pool_);
+      nl_cache_ = std::move(matrix);
+    } else {
+      nl_cache_ = nullptr;
+    }
     nl_stale_ = false;
     obs::metrics::prepared_nl_materializations().inc();
   } else {
+    // Node-only tick: pair state unchanged, so the previous NL matrix and
+    // tiled state (with its source snapshot) are shared with the new epoch.
     obs::metrics::prepared_nl_reuses().inc();
   }
   auto prepared = std::make_shared<PreparedSnapshot>();

@@ -28,9 +28,17 @@
 // update subtracts a pair's old contribution and adds its new one; because
 // the accumulator is exact, the result equals re-accumulating every pair
 // from scratch, bit for bit, with O(dirty) work and no auxiliary partial-sum
-// structure. prepare() in the allocator and reference::allocate consume the
-// same canonical pipeline (prepared_network_loads), keeping the
-// golden-equivalence suite meaningful.
+// structure.
+//
+// One pair-state implementation holds those totals: detail::TiledNlState,
+// exact accumulators per tile of a block partition of the working set, with
+// no per-pair storage. A patch re-reads the pair's old terms from the
+// previous snapshot, so update() needs that snapshot unmodified. The plain
+// builder and the one-shot prepared_network_loads() use a single block; a
+// tiled builder partitions by switch or into fixed-size blocks. prepare()
+// in the allocator and reference::allocate consume the same canonical
+// pipeline (prepared_network_loads), keeping the golden-equivalence suite
+// meaningful.
 #pragma once
 
 #include <array>
@@ -86,9 +94,8 @@ class PairSource {
   virtual Raw read(cluster::NodeId u, cluster::NodeId v) const = 0;
 };
 
-/// PairSource over a ClusterSnapshot's dense net matrices. Reads exactly
-/// what detail::NlState::read_pair reads, so tiled and flat state built from
-/// the same snapshot see the same raw terms bit for bit.
+/// PairSource over a ClusterSnapshot's dense net matrices: the 1-min
+/// latency and max(0, peak − bandwidth), either < 0 meaning unmeasured.
 class SnapshotPairSource final : public PairSource {
  public:
   explicit SnapshotPairSource(
@@ -145,119 +152,20 @@ class ExactSum {
 };
 
 /// A dirty pair resolved to working-set positions (i < j). The unit of work
-/// the sharded patch paths queue per shard.
+/// the sharded patch path queues per shard.
 struct PairPosition {
   std::uint32_t i = 0;
   std::uint32_t j = 0;
 };
 
-/// Exact-accumulator network-load state over a working node set. This class
-/// IS the canonical definition of the prepared NL matrix (see file
-/// comment): both the one-shot prepared_network_loads() and the incremental
-/// PreparedBuilder go through it, which is what makes them bit-identical.
-class NlState {
- public:
-  /// Gathers every upper-triangle pair term from the snapshot and computes
-  /// all aggregates. O(n²). With a pool, rows are partitioned into fixed
-  /// ranges whose ExactSum partials fold in canonical range order — integer
-  /// addition is associative, so the parallel totals equal the serial ones
-  /// bit for bit.
-  void full_build(const monitor::ClusterSnapshot& snapshot,
-                  std::span<const cluster::NodeId> nodes,
-                  const NetworkLoadWeights& weights,
-                  util::ThreadPool* pool = nullptr);
-
-  /// Re-reads one pair (positions i < j in the working set) from the
-  /// snapshot, swapping its old contribution out of the exact totals and
-  /// the new one in. Finish a batch of patches with refresh_dirty().
-  void patch_pair(const monitor::ClusterSnapshot& snapshot,
-                  std::span<const cluster::NodeId> nodes, std::size_t i,
-                  std::size_t j);
-
-  /// Applies a batch of patches. With a pool the batch is sharded by
-  /// contiguous pair-index range: each shard replays its pairs in delta
-  /// order (duplicates share an index, so they land in one shard) and
-  /// accumulates an exact (new − old) delta that is folded into the global
-  /// totals in canonical shard order — bit-identical to calling patch_pair
-  /// serially. Finish with refresh_dirty().
-  void patch_pairs(const monitor::ClusterSnapshot& snapshot,
-                   std::span<const cluster::NodeId> nodes,
-                   std::span<const PairPosition> pairs,
-                   util::ThreadPool* pool = nullptr);
-
-  /// Re-derives the normalization scalars from the (already exact) totals.
-  /// O(1) — the accumulators absorbed the per-pair work in patch_pair().
-  void refresh_dirty();
-
-  /// Pulls this pair's raw terms toward the cache ahead of a patch_pair()
-  /// call (the patch loop's random walk is DRAM-latency-bound otherwise).
-  void prefetch_pair(std::size_t i, std::size_t j) const {
-    const std::size_t k = pair_index(i, j);
-    if (k < lat_raw_.size()) {
-      __builtin_prefetch(lat_raw_.data() + k, 1);
-      __builtin_prefetch(comp_raw_.data() + k, 1);
-    }
-  }
-
-  /// Writes the canonical NL matrix (normalized, unit-mean rescaled,
-  /// symmetric, zero diagonal). O(n²). Safe to parallelize: every pair
-  /// writes two disjoint cells and reads only shared immutable state.
-  void materialize(util::FlatMatrix& out,
-                   util::ThreadPool* pool = nullptr) const;
-
-  std::size_t node_count() const { return n_; }
-  std::size_t pair_count() const { return lat_raw_.size(); }
-
- private:
-  /// Flat index of pair (i, j), i < j, in the i-major upper triangle.
-  std::size_t pair_index(std::size_t i, std::size_t j) const {
-    return i * n_ - i * (i + 1) / 2 + (j - i - 1);
-  }
-
-  void read_pair(const monitor::ClusterSnapshot& snapshot, cluster::NodeId u,
-                 cluster::NodeId v, std::size_t k);
-  void account_add(std::size_t k);
-  void account_remove(std::size_t k);
-  void recompute_scalars();
-
-  std::size_t n_ = 0;
-  NetworkLoadWeights weights_;
-
-  // Pair-indexed raw terms: latency in µs, complement of available
-  // bandwidth in Mbit/s; <0 = unmeasured (the store's sentinel).
-  std::vector<double> lat_raw_;
-  std::vector<double> comp_raw_;
-  // Reverse map k → (i, j), so materialize() needs no arithmetic inversion
-  // of pair_index.
-  std::vector<std::uint32_t> pair_i_;
-  std::vector<std::uint32_t> pair_j_;
-
-  // Exact totals over the measured pair terms plus unmeasured-pair counts.
-  // Maintained incrementally; order-independence makes the incremental and
-  // from-scratch paths agree exactly.
-  ExactSum lat_acc_;
-  ExactSum comp_acc_;
-  std::uint64_t lat_missing_ = 0;
-  std::uint64_t comp_missing_ = 0;
-
-  // Scalars derived from the exact totals (fixed operation sequence).
-  double lat_fill_ = 0.0;   ///< mean measured latency (or 100 µs fallback)
-  double comp_fill_ = 0.0;  ///< mean measured complement (or 0 fallback)
-  double lat_s_ = 0.0;      ///< latency normalizer Σ (with fills)
-  double comp_s_ = 0.0;     ///< complement normalizer Σ (with fills)
-  double rescale_ = 1.0;    ///< unit-mean rescale factor
-};
-
 /// The normalization scalars the canonical NL pipeline derives from the
-/// exact totals. Shared between the flat NlState and the tiled state so
-/// both use the identical operation sequence (a prerequisite for their
-/// bit-identity).
+/// exact totals with one fixed operation sequence.
 struct NlScalars {
-  double lat_fill = 0.0;
-  double comp_fill = 0.0;
-  double lat_s = 0.0;
-  double comp_s = 0.0;
-  double rescale = 1.0;
+  double lat_fill = 0.0;   ///< mean measured latency (or 100 µs fallback)
+  double comp_fill = 0.0;  ///< mean measured complement (or 0 fallback)
+  double lat_s = 0.0;      ///< latency normalizer Σ (with fills)
+  double comp_s = 0.0;     ///< complement normalizer Σ (with fills)
+  double rescale = 1.0;    ///< unit-mean rescale factor
 };
 
 NlScalars compute_nl_scalars(double lat_sum, double comp_sum,
@@ -266,7 +174,7 @@ NlScalars compute_nl_scalars(double lat_sum, double comp_sum,
                              const NetworkLoadWeights& weights);
 
 /// Canonical per-pair NL value from raw terms + scalars — the one formula
-/// NlState::materialize, the tiled tile fill and nl_value() all share.
+/// materialize_dense, the lazy tile fill and nl_value() all share.
 inline double nl_value_from_raw(double lat_raw, double comp_raw,
                                 const NlScalars& s,
                                 const NetworkLoadWeights& weights) {
@@ -278,13 +186,18 @@ inline double nl_value_from_raw(double lat_raw, double comp_raw,
          s.rescale;
 }
 
-/// Tiled counterpart of NlState: exact pair-term accumulators kept PER TILE
-/// of a topology block partition, folded into global totals on demand. No
+/// Exact-accumulator network-load state over a working node set. This class
+/// IS the canonical definition of the prepared NL matrix (see file
+/// comment): the one-shot prepared_network_loads() and every
+/// PreparedBuilder go through it, which is what makes them bit-identical.
+///
+/// Pair-term accumulators are kept PER TILE of a block partition and folded
+/// into global totals; a single-block partition is the flat case. No
 /// per-pair storage at all — O(G²) accumulators plus O(V) partition vectors
 /// — which is what holds pair-state memory at V=16384 to megabytes instead
 /// of gigabytes. Raw terms are re-read from a PairSource when patching, so
-/// the owner must keep the previous snapshot alive across an update (the
-/// PreparedBuilder already does).
+/// the owner must keep the previous snapshot alive and unmodified across an
+/// update (the PreparedBuilder holds it).
 class TiledNlState {
  public:
   /// Gathers every upper-triangle pair term through `source` and fills all
@@ -309,7 +222,8 @@ class TiledNlState {
   /// including duplicates — replay in delta order inside one shard), tile
   /// accumulators are mutated directly, and exact global deltas fold in
   /// canonical shard order — bit-identical to serial patch_pair calls.
-  /// Finish with refresh_dirty().
+  /// There are never more shards than tiles, so a one-block state patches
+  /// serially. Finish with refresh_dirty().
   void patch_pairs(const PairSource& old_source, const PairSource& new_source,
                    std::span<const cluster::NodeId> nodes,
                    std::span<const PairPosition> pairs,
@@ -318,9 +232,9 @@ class TiledNlState {
   /// Re-derives the normalization scalars from the exact global totals.
   void refresh_dirty();
 
-  /// Writes the full canonical NL matrix from `source` — same entries, bit
-  /// for bit, as NlState::materialize over the same working set. O(n²).
-  /// Parallel-safe over row ranges (disjoint cell writes).
+  /// Writes the full canonical NL matrix (normalized, unit-mean rescaled,
+  /// symmetric, zero diagonal) from `source`. O(n²). Parallel-safe over row
+  /// ranges (disjoint cell writes).
   void materialize_dense(const PairSource& source,
                          std::span<const cluster::NodeId> nodes,
                          util::FlatMatrix& out,
@@ -468,7 +382,10 @@ struct PreparedSnapshot {
   std::size_t pair_fallbacks = 0;  ///< pairs served from the 5-min fallback
 };
 
-/// Tiled-mode configuration for PreparedBuilder.
+/// Tiled-mode configuration for PreparedBuilder: how the working set is cut
+/// into blocks, and whether epochs still carry the dense NL matrix. Without
+/// it a builder keeps the working set as one block and always publishes
+/// the dense matrix.
 struct TilingOptions {
   /// Materialize the dense NL matrix only while the usable-node count is at
   /// most this; above it epochs carry nl == nullptr and only the tiled
@@ -481,15 +398,18 @@ struct TilingOptions {
 
 /// Owner-thread builder of PreparedSnapshot epochs. Not thread-safe; one
 /// monitor/refresh thread drives it while decide() threads consume the
-/// immutable epochs it builds.
+/// immutable epochs it builds. Pair state is one detail::TiledNlState; the
+/// builder holds the snapshot it last saw, and update() re-reads dirty
+/// pairs' old terms from it, so a caller must never modify a snapshot
+/// after handing it over.
 class PreparedBuilder {
  public:
+  /// The working set is one block; every epoch carries the dense NL matrix
+  /// and no TiledPairState.
   explicit PreparedBuilder(RequestProfile profile);
-  /// Tiled mode: pair state is kept per topology tile (O(G²) memory) and
-  /// epochs additionally publish a TiledPairState.
+  /// Tiled mode: the working set is cut per switch (or into fixed-size
+  /// blocks), and epochs additionally publish a TiledPairState.
   PreparedBuilder(RequestProfile profile, TilingOptions tiling);
-
-  bool tiling_enabled() const { return tiling_.has_value(); }
 
   /// Attaches (or detaches, with nullptr) a refresh pool: full rebuilds,
   /// sharded delta applies and NL materializations then fan out over its
@@ -511,8 +431,10 @@ class PreparedBuilder {
   /// Applies a delta in O(dirty + V). Returns true when the
   /// delta was applied incrementally; falls back to rebuild() (returning
   /// false) whenever continuity cannot be proven: no prior state, version
-  /// gap, livehosts change, an explicit full flag, a node-count change, or
-  /// a dirty node whose usability flipped.
+  /// gap, livehosts change, an explicit full flag, a node-count change, a
+  /// dirty node whose usability flipped, or working-set dirty pairs arriving
+  /// on the very snapshot object the builder already holds (mutated in
+  /// place, so the pairs' old terms are gone).
   bool update(std::shared_ptr<const monitor::ClusterSnapshot> snapshot,
               const monitor::SnapshotDelta& delta);
 
@@ -538,14 +460,11 @@ class PreparedBuilder {
   double load_per_core_ = 0.0;
   int effective_capacity_ = 0;
 
-  detail::NlState nl_state_;
+  std::optional<TilingOptions> tiling_;  ///< nullopt = one block
+  detail::TiledNlState pair_state_;
   std::shared_ptr<const util::FlatMatrix> nl_cache_;  ///< last materialized
+  std::shared_ptr<const TiledPairState> tiles_cache_;  ///< tiled mode only
   bool nl_stale_ = true;
-
-  // Tiled mode (nullopt = classic dense pair state).
-  std::optional<TilingOptions> tiling_;
-  detail::TiledNlState tiled_state_;
-  std::shared_ptr<const TiledPairState> tiles_cache_;
 
   bool incremental_ = false;
   std::size_t delta_nodes_ = 0;

@@ -33,8 +33,8 @@ ShapeCheck check(const std::string& description, bool passed,
   return ShapeCheck{description, passed, detail};
 }
 
-void print_shape_checks(std::ostream& out,
-                        const std::vector<ShapeCheck>& checks) {
+int print_shape_checks(std::ostream& out,
+                       const std::vector<ShapeCheck>& checks) {
   int passed = 0;
   out << "Shape checks (paper findings that should reproduce):\n";
   for (const ShapeCheck& c : checks) {
@@ -45,6 +45,7 @@ void print_shape_checks(std::ostream& out,
   }
   out << util::format("  %d/%zu shape checks passed\n\n", passed,
                       checks.size());
+  return static_cast<int>(checks.size()) - passed;
 }
 
 void print_time_table(std::ostream& out, const std::string& title,

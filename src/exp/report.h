@@ -33,8 +33,10 @@ struct ShapeCheck {
   std::string detail;
 };
 
-void print_shape_checks(std::ostream& out,
-                        const std::vector<ShapeCheck>& checks);
+/// Prints one [PASS]/[FAIL] line per check plus the tally, and returns the
+/// number of failed checks (a harness exits non-zero on any failure).
+int print_shape_checks(std::ostream& out,
+                       const std::vector<ShapeCheck>& checks);
 
 /// Convenience constructor.
 ShapeCheck check(const std::string& description, bool passed,

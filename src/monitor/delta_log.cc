@@ -202,6 +202,9 @@ bool DeltaLogReader::decode_frame(std::uint8_t kind, std::string_view payload,
   const std::uint8_t flags = reader.u8();
   out.livehosts_changed = (flags & kDeltaFlagLivehosts) != 0;
   if (out.livehosts_changed) {
+    NLARM_CHECK(out.n <= reader.remaining())
+        << "delta frame livehosts for " << out.n << " nodes exceed the "
+        << reader.remaining() << " bytes present";
     out.livehosts.resize(out.n);
     for (std::size_t i = 0; i < out.n; ++i) out.livehosts[i] = reader.u8();
   }
@@ -250,6 +253,19 @@ bool DeltaLogReader::apply_decoded(DecodedFrame& frame) {
     NLARM_WARN << "delta log '" << path_ << "': frame base "
                << frame.base_version << " does not chain onto state "
                << state_.version;
+    return false;
+  }
+  const NetSnapshot& net = state_.net;
+  const auto sized = [&](const util::FlatMatrix& m) {
+    return m.size() == frame.n;
+  };
+  if (!frame.pairs.empty() &&
+      !(sized(net.latency_us) && sized(net.latency_5min_us) &&
+        sized(net.bandwidth_mbps) && sized(net.peak_mbps))) {
+    NLARM_WARN << "delta log '" << path_ << "': frame carries "
+               << frame.pairs.size()
+               << " pair record(s) but the state has no " << frame.n << "x"
+               << frame.n << " pairwise matrices";
     return false;
   }
   if (frame.livehosts_changed) {

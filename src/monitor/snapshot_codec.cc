@@ -16,6 +16,11 @@ constexpr std::uint32_t kFlagSparsePairwise = 1u << 1;
 /// f64 peak.
 constexpr std::size_t kSparseRecordBytes = 2 * 4 + 4 * sizeof(double);
 
+/// Smallest encoded node record (codec::encode_node with an empty
+/// hostname): five 4-byte ints, seven f64s, four 3-f64 means, the u32
+/// hostname length.
+constexpr std::size_t kMinNodeRecordBytes = 5 * 4 + 7 * 8 + 4 * 3 * 8 + 4;
+
 std::uint64_t f64_bits(double d) {
   std::uint64_t b;
   std::memcpy(&b, &d, sizeof(b));
@@ -86,6 +91,13 @@ void encode_sparse_pairwise(std::string& out, const NetSnapshot& net,
 
 void decode_sparse_pairwise(util::ByteReader& reader, NetSnapshot& net,
                             std::size_t n) {
+  const std::uint64_t count = reader.u64();
+  NLARM_CHECK(count <= n * (n - 1) / 2)
+      << "sparse pairwise record count " << count << " exceeds " << n
+      << "-node pair space";
+  NLARM_CHECK(count <= reader.remaining() / kSparseRecordBytes)
+      << "sparse pairwise record count " << count << " exceeds the "
+      << reader.remaining() << " bytes present";
   net.latency_us.assign(n, -1.0);
   net.latency_5min_us.assign(n, -1.0);
   net.bandwidth_mbps.assign(n, -1.0);
@@ -94,10 +106,6 @@ void decode_sparse_pairwise(util::ByteReader& reader, NetSnapshot& net,
   net.latency_5min_us.zero_diagonal();
   net.bandwidth_mbps.zero_diagonal();
   net.peak_mbps.zero_diagonal();
-  const std::uint64_t count = reader.u64();
-  NLARM_CHECK(count <= n * (n - 1) / 2)
-      << "sparse pairwise record count " << count << " exceeds " << n
-      << "-node pair space";
   for (std::uint64_t r = 0; r < count; ++r) {
     const std::uint32_t u = reader.u32();
     const std::uint32_t v = reader.u32();
@@ -130,8 +138,12 @@ void encode_matrix(std::string& out, const util::FlatMatrix& m,
 
 void decode_matrix(util::ByteReader& reader, util::FlatMatrix& m,
                    std::size_t n) {
+  const std::size_t bytes = n * n * sizeof(double);
+  NLARM_CHECK(bytes <= reader.remaining())
+      << "dense pairwise block of " << bytes << " bytes exceeds the "
+      << reader.remaining() << " bytes present";
   m.assign(n, 0.0);
-  reader.read_into(m.data(), n * n * sizeof(double));
+  reader.read_into(m.data(), bytes);
 }
 
 void encode_means(std::string& out, const RunningMeans& means) {
@@ -287,6 +299,9 @@ ClusterSnapshot decode_snapshot_binary(std::string_view bytes) {
   ClusterSnapshot snapshot;
   snapshot.time = reader.f64();
   snapshot.version = reader.u64();
+  NLARM_CHECK(n <= reader.remaining() / kMinNodeRecordBytes)
+      << "node count " << n << " exceeds the " << reader.remaining()
+      << " bytes present";
   snapshot.nodes.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     NodeSnapshot node = codec::decode_node(reader);

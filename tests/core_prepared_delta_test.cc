@@ -18,6 +18,7 @@
 #include "core/prepared.h"
 #include "core/reference.h"
 #include "monitor/store.h"
+#include "obs/catalog.h"
 #include "sim/rng.h"
 
 namespace nlarm::core {
@@ -268,6 +269,41 @@ TEST(PreparedDeltaTest, VersionGapFallsBack) {
 
   PreparedBuilder oracle(RequestProfile::of(request));
   oracle.rebuild(third);
+  expect_same_prepared(*builder.build(), *oracle.build());
+}
+
+TEST(PreparedDeltaTest, PairDeltaOnTheHeldSnapshotFallsBack) {
+  // update() re-reads a dirty pair's old terms from the snapshot it holds.
+  // A caller that rewrote that very object in place has destroyed them, so
+  // the builder must rebuild rather than patch from the new values twice.
+  monitor::MonitorStore store(6);
+  sim::Rng rng(9);
+  store.write_livehosts(1.0, std::vector<bool>(6, true));
+  for (int i = 0; i < 6; ++i) {
+    store.write_node_record(1.0, random_record(i, rng));
+  }
+  for (int u = 0; u < 6; ++u) {
+    for (int v = u + 1; v < 6; ++v) write_random_pair(store, 1.0, u, v, rng);
+  }
+  auto snapshot =
+      std::make_shared<monitor::ClusterSnapshot>(store.assemble(1.0));
+  const AllocationRequest request = make_request(8);
+  PreparedBuilder builder(RequestProfile::of(request));
+  builder.rebuild(snapshot);
+
+  snapshot->net.latency_us[1][4] = snapshot->net.latency_us[4][1] = 777.0;
+  monitor::SnapshotDelta delta;
+  delta.base_version = snapshot->version;
+  delta.version = ++snapshot->version;
+  delta.dirty_pairs = {{1, 4}};
+  const std::uint64_t fallbacks =
+      obs::metrics::prepared_incremental_fallbacks().value();
+  EXPECT_FALSE(builder.update(snapshot, delta));
+  EXPECT_EQ(obs::metrics::prepared_incremental_fallbacks().value(),
+            fallbacks + 1);
+
+  PreparedBuilder oracle(RequestProfile::of(request));
+  oracle.rebuild(std::make_shared<const monitor::ClusterSnapshot>(*snapshot));
   expect_same_prepared(*builder.build(), *oracle.build());
 }
 

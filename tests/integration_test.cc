@@ -194,7 +194,9 @@ TEST(ReportTest, GainTableRenders) {
 
 TEST(ReportTest, ShapeChecksCounted) {
   std::ostringstream out;
-  print_shape_checks(out, {check("a", true, "ok"), check("b", false)});
+  EXPECT_EQ(print_shape_checks(out, {check("a", true, "ok"),
+                                     check("b", false)}),
+            1);
   EXPECT_NE(out.str().find("[PASS] a"), std::string::npos);
   EXPECT_NE(out.str().find("[FAIL] b"), std::string::npos);
   EXPECT_NE(out.str().find("1/2"), std::string::npos);

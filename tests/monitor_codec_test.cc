@@ -230,6 +230,57 @@ TEST(SnapshotCodecTest, RejectsShortPairwiseBlock) {
   expect_one_line_reject(cut);
 }
 
+/// A CRC-sealed artifact whose header declares `n` nodes and `flags`, then
+/// carries `records` minimal node records, as many livehost bytes, and
+/// `tail`. The seal means only the decoder's length checks stand between
+/// the declared sizes and an allocation.
+std::string crafted_artifact(std::uint32_t n, std::uint32_t flags,
+                             std::size_t records, const std::string& tail) {
+  std::string bytes(kBinarySnapshotMagic);
+  util::put_u32(bytes, n);
+  util::put_u32(bytes, flags);
+  util::put_f64(bytes, 1.0);  // time
+  util::put_u64(bytes, 1);    // version
+  for (std::size_t i = 0; i < records; ++i) {
+    NodeSnapshot node;
+    node.spec.id = static_cast<cluster::NodeId>(i);
+    codec::encode_node(bytes, node);
+  }
+  bytes.append(records, '\1');
+  bytes += tail;
+  util::put_u32(bytes, util::crc32(bytes));
+  return bytes;
+}
+
+/// The reject must come from the size check, which runs before the decoder
+/// allocates for the declared size.
+void expect_size_claim_reject(const std::string& bytes) {
+  try {
+    (void)decode_snapshot_binary(bytes);
+    FAIL() << "crafted artifact decoded successfully";
+  } catch (const util::CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find("bytes present"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SnapshotCodecTest, RejectsSizeClaimsBeyondTheBytesPresent) {
+  constexpr std::uint32_t kDense = 1u << 0;
+  constexpr std::uint32_t kSparse = 1u << 1;
+  // 2²⁴ nodes declared, not one record present.
+  expect_size_claim_reject(crafted_artifact(1u << 24, 0, 0, ""));
+  // Real node records, then a dense pairwise flag with no matrix bytes.
+  const std::uint32_t n = 512;
+  expect_size_claim_reject(crafted_artifact(n, kDense, n, ""));
+  // A sparse section declaring every pair but carrying no record.
+  std::string count;
+  util::put_u64(count, std::uint64_t{n} * (n - 1) / 2);
+  expect_size_claim_reject(crafted_artifact(n, kSparse, n, count));
+  // The same builder with honest sizes decodes.
+  EXPECT_EQ(decode_snapshot_binary(crafted_artifact(3, 0, 3, "")).size(), 3);
+}
+
 TEST(SnapshotCodecTest, SparsePairwiseRoundTripsMeasuredPairs) {
   // A mostly-unmeasured pairwise section (the tiled monitor's O(G²) probe
   // set) must ship as sparse records — far smaller than the dense blocks —

@@ -21,6 +21,7 @@
 #include "monitor/persistence.h"
 #include "monitor/store.h"
 #include "test_helpers.h"
+#include "util/binio.h"
 #include "util/check.h"
 
 namespace nlarm::monitor {
@@ -277,6 +278,79 @@ TEST(DeltaLogTest, GarbageAndMissingLogsAreHandled) {
   EXPECT_GE(garbage_reader.bad_frames_seen(), 1);
   EXPECT_THROW(replay_delta_log(garbage), util::CheckError);
   std::remove(garbage.c_str());
+}
+
+/// Appends one CRC-valid delta frame (kind 1) around `body` — the envelope
+/// DeltaLogWriter lays: "nlmd" magic, payload length, kind + body, CRC.
+void append_delta_frame(const std::string& path, const std::string& body) {
+  std::string payload(1, '\1');
+  payload += body;
+  std::string frame;
+  util::put_u32(frame, 0x646d6c6eu);
+  util::put_u32(frame, static_cast<std::uint32_t>(payload.size()));
+  frame += payload;
+  util::put_u32(frame, util::crc32(payload));
+  std::ofstream(path, std::ios::binary | std::ios::app) << frame;
+}
+
+/// Delta payload header: versions, time, declared node count and flags.
+std::string delta_header(std::uint64_t base, std::uint32_t n,
+                         std::uint8_t flags) {
+  std::string body;
+  util::put_u64(body, base);
+  util::put_u64(body, base + 1);
+  util::put_f64(body, 99.0);
+  util::put_u32(body, n);
+  util::put_u8(body, flags);
+  return body;
+}
+
+TEST(DeltaLogTest, LivehostsCountBeyondTheFrameIsRejected) {
+  // A sealed delta declaring livehosts for 2³² − 1 nodes in a frame a few
+  // bytes long must be rejected before the reader sizes a buffer for it.
+  const std::string path = log_path("crafted_livehosts");
+  auto store = seeded_store(4);
+  DeltaLogWriter writer(path);
+  const ClusterSnapshot live = store->assemble(10.0);
+  ASSERT_TRUE(writer.append(live, store->drain_delta()));
+  append_delta_frame(path, delta_header(live.version, 0xffffffffu, 1));
+
+  DeltaLogReader reader(path);
+  EXPECT_EQ(reader.poll(), 1);
+  EXPECT_EQ(reader.bad_frames_seen(), 1);
+  expect_equal_state(reader.snapshot(), live);
+  std::remove(path.c_str());
+}
+
+TEST(DeltaLogTest, PairRecordsWithoutPairwiseStateAreSkipped) {
+  // A full frame without pairwise matrices (flags 0), then a sealed delta
+  // carrying a pair record: the reader must skip the delta instead of
+  // writing through the empty matrices.
+  const std::string path = log_path("crafted_pairs");
+  ClusterSnapshot base;
+  base.version = 5;
+  base.time = 1.0;
+  base.livehosts.assign(4, true);
+  base.nodes.resize(4);
+  for (int i = 0; i < 4; ++i) {
+    base.nodes[static_cast<std::size_t>(i)].spec.id = i;
+  }
+  DeltaLogWriter writer(path);
+  ASSERT_TRUE(writer.write_full(base));
+  std::string body = delta_header(base.version, 4, 0);
+  util::put_varint(body, 0);  // dirty nodes
+  util::put_varint(body, 1);  // dirty pairs
+  util::put_varint(body, 0);
+  util::put_varint(body, 1);
+  for (int k = 0; k < 8; ++k) util::put_f64(body, 50.0);
+  append_delta_frame(path, body);
+
+  DeltaLogReader reader(path);
+  EXPECT_EQ(reader.poll(), 1);
+  EXPECT_EQ(reader.frames_applied(), 1);
+  EXPECT_EQ(reader.snapshot().version, base.version);
+  EXPECT_TRUE(reader.snapshot().net.latency_us.empty());
+  std::remove(path.c_str());
 }
 
 TEST(DeltaLogTest, BrokerIngestsLogIdenticallyToLiveStore) {
