@@ -23,9 +23,7 @@ namespace {
 monitor::ClusterSnapshot synthetic_snapshot(int n, std::uint64_t seed) {
   sim::Rng rng(seed);
   monitor::ClusterSnapshot snap;
-  // Versioned like a MonitorStore-assembled snapshot, so repeated allocate()
-  // calls exercise the prepared-input memoization (the broker's steady-state
-  // pattern: many requests between monitor updates).
+  // Versioned like a MonitorStore-assembled snapshot.
   snap.version = (seed << 16) | static_cast<std::uint64_t>(n);
   snap.livehosts.assign(static_cast<std::size_t>(n), true);
   snap.nodes.resize(static_cast<std::size_t>(n));
@@ -80,6 +78,9 @@ core::AllocationRequest standard_request(int nprocs) {
   return request;
 }
 
+/// One classic allocate() per iteration: the O(V²) CL/NL/pc preparation
+/// from the snapshot plus Algorithms 1+2 (the allocator keeps nothing
+/// between calls).
 void BM_FullAllocation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto snap = synthetic_snapshot(n, 42);
@@ -93,23 +94,6 @@ void BM_FullAllocation(benchmark::State& state) {
 // V=60 is the paper's cluster; the ~1-2 ms claim applies there.
 BENCHMARK(BM_FullAllocation)->Arg(16)->Arg(60)->Arg(128)->Arg(256)->Arg(512)
     ->Arg(1024)->Complexity(benchmark::oNSquared);
-
-// Worst case: every request arrives with fresh monitored state (version 0 =
-// unversioned, memoization disabled), so the O(V²) CL/NL preparation runs
-// on every call.
-void BM_FullAllocationColdInputs(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  auto snap = synthetic_snapshot(n, 42);
-  snap.version = 0;
-  const auto request = standard_request(32);
-  core::NetworkLoadAwareAllocator allocator;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(allocator.allocate(snap, request));
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_FullAllocationColdInputs)->Arg(60)->Arg(256)->Arg(512)
-    ->Complexity(benchmark::oNSquared);
 
 void BM_CandidateGeneration(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

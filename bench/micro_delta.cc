@@ -276,9 +276,10 @@ BENCHMARK(BM_ConcurrentDecide)
     ->Threads(8)
     ->UseRealTime();
 
-/// Contrast: the classic mutex-serialized decide() under the same fan-in.
-/// Memoization makes the per-call work comparable; the difference is the
-/// critical section.
+/// Contrast: the classic decide() under the same fan-in. Each call
+/// prepares CL/NL/pc from the snapshot and scores inside the allocator's
+/// critical section, so it pays the O(V²) preparation the epoch path
+/// amortizes as well as the lock.
 void BM_ClassicDecideLocked(benchmark::State& state) {
   static core::NetworkLoadAwareAllocator allocator;
   static core::ResourceBroker broker(allocator);

@@ -1,11 +1,12 @@
 // Admission front-end microbenchmarks (google-benchmark).
 //
 // The tentpole claim: the sharded serve path (core/serve_shard.h) sustains
-// >= 5x the decisions/sec of the mutex-fronted classic path at 8 producer
+// >= 5x the decisions/sec of the uncached epoch path at 8 producer
 // threads. Four front ends over one V=256 snapshot, same request:
 //
-//   BM_MutexFrontedServe  classic decide(snapshot, request): the allocator
-//                         and aggregates memo serialize on decide_mutex_.
+//   BM_MutexFrontedServe  classic decide(snapshot, request): every call
+//                         prepares CL/NL/pc from the snapshot and scores
+//                         with the allocator serialized on decide_mutex_.
 //   BM_EpochDirectServe   decide(pin, request): lock-free epoch path, but
 //                         every caller pays a full Algorithm-1/2 pass.
 //   BM_ShardServeNoCache  sharded rings + per-drain epoch pinning, every
@@ -14,7 +15,7 @@
 //                         the scoring pass (the million-QPS configuration).
 //
 // The committed BENCH_serve.json carries the full-length run; CI re-runs a
-// short version and enforces the warm/mutex ratio (see ci.yml).
+// short version and enforces the warm/epoch-direct ratio (see ci.yml).
 //
 // BM_ScoreAdditionRow* isolate the SIMD inner loop itself (addition costs
 // A_v(u) = alpha*CL(u) + beta*NL(v,u) over one contiguous NL row).

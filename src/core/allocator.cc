@@ -9,7 +9,6 @@
 #include "obs/catalog.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace nlarm::core {
 
@@ -90,50 +89,57 @@ std::string to_hostfile(const Allocation& allocation,
   return out.str();
 }
 
-const NetworkLoadAwareAllocator::PreparedInputs&
-NetworkLoadAwareAllocator::prepare(const monitor::ClusterSnapshot& snapshot,
-                                   const AllocationRequest& request) {
-  PreparedKey key;
-  key.version = snapshot.version;
-  key.node_count = snapshot.nodes.size();
-  key.compute_weights = request.compute_weights;
-  key.network_weights = request.network_weights;
-  key.ppn = request.ppn;
-  // version 0 marks a hand-built snapshot with no change tracking; those
-  // must always be prepared from scratch.
-  if (has_prepared_ && key.version != 0 && key == prepared_key_) {
-    stats_.prepared_cache_hit = true;
-    obs::metrics::alloc_prepared_cache_hits().inc();
-    return prepared_;
+namespace detail {
+
+Allocation allocate_working_set(std::span<const double> cl,
+                                const util::FlatMatrix& nl,
+                                std::span<const int> pc,
+                                std::span<const cluster::NodeId> nodes,
+                                const monitor::ClusterSnapshot& snapshot,
+                                const AllocationRequest& request,
+                                std::span<const std::size_t> starts,
+                                const GenerationOptions& options,
+                                const char* policy, AllocStats& stats,
+                                SelectionResult* selection) {
+  obs::ScopedSpan generate_span("alloc.generate",
+                                &obs::metrics::alloc_generate_seconds());
+  std::vector<Candidate> candidates =
+      starts.empty() ? generate_all_candidates(cl, nl, pc, request.nprocs,
+                                               request.job, options)
+                     : generate_all_candidates(cl, nl, pc, request.nprocs,
+                                               request.job, starts, options);
+  stats.generate_seconds = generate_span.stop();
+  stats.candidates_generated = candidates.size();
+  obs::metrics::alloc_candidates_generated().inc(candidates.size());
+  if (static_cast<std::size_t>(request.nprocs) < cl.size()) {
+    obs::metrics::alloc_topk_generations().inc();
+  } else {
+    obs::metrics::alloc_fullsort_generations().inc();
   }
-  if (has_prepared_) {
-    NLARM_DEBUG << "prepared-input memo invalidated: snapshot version "
-                << prepared_key_.version << " -> " << key.version
-                << " (nodes " << prepared_key_.node_count << " -> "
-                << key.node_count << ")";
+
+  obs::ScopedSpan select_span("alloc.select",
+                              &obs::metrics::alloc_select_seconds());
+  SelectionResult result =
+      select_best_candidate(std::move(candidates), cl, nl, request.job);
+  stats.select_seconds = select_span.stop();
+
+  const ScoredCandidate& best = result.scored[result.best_index];
+  stats.compute_cost = best.compute_cost;
+  stats.network_cost = best.network_cost;
+  Allocation allocation;
+  allocation.policy = policy;
+  allocation.total_procs = request.nprocs;
+  allocation.total_cost = best.total_cost;
+  for (std::size_t i = 0; i < best.candidate.members.size(); ++i) {
+    allocation.nodes.push_back(nodes[best.candidate.members[i]]);
+    allocation.procs_per_node.push_back(best.candidate.procs[i]);
   }
-  stats_.prepared_cache_hit = false;
-  obs::metrics::alloc_prepared_cache_misses().inc();
-
-  has_prepared_ = false;  // invalidate while prepared_ is being rebuilt
-  prepared_.usable = snapshot.usable_nodes();
-  NLARM_CHECK(!prepared_.usable.empty()) << "no usable nodes in snapshot";
-
-  // Unit-mean rescaling puts node costs and pair costs on a common scale so
-  // α/β trade them off as intended (see rescale_unit_mean). NL goes through
-  // the canonical chunked pipeline shared with the epoch builder and the
-  // reference path (core/prepared.h).
-  prepared_.cl = rescale_unit_mean(
-      compute_loads(snapshot, prepared_.usable, request.compute_weights));
-  prepared_network_loads(snapshot, prepared_.usable, request.network_weights,
-                         prepared_.nl);
-  prepared_.pc =
-      effective_process_counts(snapshot, prepared_.usable, request.ppn);
-
-  prepared_key_ = key;
-  has_prepared_ = true;
-  return prepared_;
+  annotate_allocation(allocation, snapshot);
+  if (selection != nullptr) *selection = std::move(result);
+  return allocation;
 }
+
+}  // namespace detail
 
 Allocation NetworkLoadAwareAllocator::allocate(
     const monitor::ClusterSnapshot& snapshot,
@@ -144,46 +150,27 @@ Allocation NetworkLoadAwareAllocator::allocate(
   obs::ScopedSpan total_span("alloc.total",
                              &obs::metrics::alloc_total_seconds());
 
+  // Unit-mean rescaling puts node costs and pair costs on a common scale so
+  // α/β trade them off as intended (see rescale_unit_mean). NL goes through
+  // the canonical pipeline shared with the epoch builder and the reference
+  // path (core/prepared.h).
   obs::ScopedSpan prepare_span("alloc.prepare",
                                &obs::metrics::alloc_prepare_seconds());
-  const PreparedInputs& inputs = prepare(snapshot, request);
+  last_node_set_ = snapshot.usable_nodes();
+  NLARM_CHECK(!last_node_set_.empty()) << "no usable nodes in snapshot";
+  const std::vector<double> cl = rescale_unit_mean(
+      compute_loads(snapshot, last_node_set_, request.compute_weights));
+  util::FlatMatrix nl;
+  prepared_network_loads(snapshot, last_node_set_, request.network_weights,
+                         nl);
+  const std::vector<int> pc =
+      effective_process_counts(snapshot, last_node_set_, request.ppn);
   stats_.prepare_seconds = prepare_span.stop();
-  stats_.usable_nodes = inputs.usable.size();
+  stats_.usable_nodes = last_node_set_.size();
 
-  obs::ScopedSpan generate_span("alloc.generate",
-                                &obs::metrics::alloc_generate_seconds());
-  std::vector<Candidate> candidates =
-      generate_all_candidates(inputs.cl, inputs.nl, inputs.pc, request.nprocs,
-                              request.job, generation_options_);
-  stats_.generate_seconds = generate_span.stop();
-  stats_.candidates_generated = candidates.size();
-  obs::metrics::alloc_candidates_generated().inc(candidates.size());
-  if (static_cast<std::size_t>(request.nprocs) < inputs.usable.size()) {
-    obs::metrics::alloc_topk_generations().inc();
-  } else {
-    obs::metrics::alloc_fullsort_generations().inc();
-  }
-
-  obs::ScopedSpan select_span("alloc.select",
-                              &obs::metrics::alloc_select_seconds());
-  last_selection_ = select_best_candidate(std::move(candidates), inputs.cl,
-                                          inputs.nl, request.job);
-  stats_.select_seconds = select_span.stop();
-  last_node_set_ = inputs.usable;
-
-  const ScoredCandidate& best =
-      last_selection_.scored[last_selection_.best_index];
-  stats_.compute_cost = best.compute_cost;
-  stats_.network_cost = best.network_cost;
-  Allocation allocation;
-  allocation.policy = name();
-  allocation.total_procs = request.nprocs;
-  allocation.total_cost = best.total_cost;
-  for (std::size_t i = 0; i < best.candidate.members.size(); ++i) {
-    allocation.nodes.push_back(inputs.usable[best.candidate.members[i]]);
-    allocation.procs_per_node.push_back(best.candidate.procs[i]);
-  }
-  annotate_allocation(allocation, snapshot);
+  Allocation allocation = detail::allocate_working_set(
+      cl, nl, pc, last_node_set_, snapshot, request, /*starts=*/{},
+      generation_options_, "network-load-aware", stats_, &last_selection_);
   stats_.total_seconds = total_span.stop();
   stats_.valid = true;
   return allocation;

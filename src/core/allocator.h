@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,11 +52,11 @@ void annotate_allocation(Allocation& allocation,
 std::string to_hostfile(const Allocation& allocation,
                         const monitor::ClusterSnapshot& snapshot);
 
-/// Observability record of the last allocate() call: cache behaviour and
-/// per-stage wall times. Consumed by the broker's decision audit.
+/// Observability record of the last allocate() call: working-set size,
+/// winning costs and per-stage wall times. Consumed by the broker's
+/// decision audit.
 struct AllocStats {
   bool valid = false;  ///< set once allocate() has run
-  bool prepared_cache_hit = false;
   std::size_t usable_nodes = 0;
   std::uint64_t candidates_generated = 0;
   double compute_cost = 0.0;  ///< C_Gv of the winning candidate
@@ -86,12 +87,12 @@ class Allocator {
 /// The paper's contribution: Algorithms 1 + 2 over monitored compute and
 /// network load.
 ///
-/// Fast path: the normalized CL vector, NL matrix and pc vector only depend
-/// on the snapshot and the request's weight/ppn profile, so the allocator
-/// memoizes them keyed on the snapshot's version counter. Back-to-back
-/// requests against the same monitored state (the common broker pattern)
-/// skip the O(V²) input preparation entirely. Unversioned snapshots
-/// (version == 0) always recompute.
+/// The one-shot classic path: every allocate() prepares the normalized CL
+/// vector, NL matrix and pc vector from the snapshot it is handed, O(V²),
+/// and keeps nothing between calls, so a caller may pass snapshots that
+/// share a version but not a node set (JobQueue's reservation views).
+/// Serving many requests against one monitored state goes through a
+/// PreparedBuilder epoch and allocate_prepared() instead (core/prepared.h).
 class NetworkLoadAwareAllocator : public Allocator {
  public:
   std::string name() const override { return "network-load-aware"; }
@@ -117,38 +118,35 @@ class NetworkLoadAwareAllocator : public Allocator {
   }
 
  private:
-  /// Normalized allocator inputs over the snapshot's usable node set.
-  struct PreparedInputs {
-    std::vector<cluster::NodeId> usable;
-    std::vector<double> cl;
-    util::FlatMatrix nl;
-    std::vector<int> pc;
-  };
-  /// Everything the prepared inputs depend on. `version` 0 never matches.
-  /// The snapshot's float timestamp is deliberately NOT part of the key:
-  /// the version counter already changes on every store write, and keying
-  /// on wall-clock time made periodic re-assembly of unchanged data defeat
-  /// the memo.
-  struct PreparedKey {
-    std::uint64_t version = 0;
-    std::size_t node_count = 0;
-    ComputeLoadWeights compute_weights;
-    NetworkLoadWeights network_weights;
-    int ppn = 0;
-
-    bool operator==(const PreparedKey&) const = default;
-  };
-
-  const PreparedInputs& prepare(const monitor::ClusterSnapshot& snapshot,
-                                const AllocationRequest& request);
-
   GenerationOptions generation_options_;
-  PreparedInputs prepared_;
-  PreparedKey prepared_key_;
-  bool has_prepared_ = false;
   SelectionResult last_selection_;
   std::vector<cluster::NodeId> last_node_set_;
   AllocStats stats_;
 };
+
+namespace detail {
+
+/// Algorithms 1+2 over prepared working-set inputs: the one scoring core
+/// behind allocate(), allocate_prepared(), allocate_two_phase() and the
+/// hierarchical allocator's sampled mode. `cl`, `nl` and `pc` cover
+/// positions 0..n-1 and `nodes[i]` is position i's NodeId. Generates one
+/// candidate per start (every position, or only `starts` when non-empty),
+/// selects the winner, maps it to NodeIds and annotates it from
+/// `snapshot`. Fills the generate/select fields of `stats` and observes
+/// the alloc generate/select series; the caller owns the request counter,
+/// the total span and the remaining stats fields. `selection`, when given,
+/// receives the full scoring detail.
+Allocation allocate_working_set(std::span<const double> cl,
+                                const util::FlatMatrix& nl,
+                                std::span<const int> pc,
+                                std::span<const cluster::NodeId> nodes,
+                                const monitor::ClusterSnapshot& snapshot,
+                                const AllocationRequest& request,
+                                std::span<const std::size_t> starts,
+                                const GenerationOptions& options,
+                                const char* policy, AllocStats& stats,
+                                SelectionResult* selection = nullptr);
+
+}  // namespace detail
 
 }  // namespace nlarm::core

@@ -18,51 +18,6 @@ ResourceBroker::ResourceBroker(Allocator& allocator, BrokerPolicy policy)
   NLARM_CHECK(policy.min_usable_nodes >= 1) << "need at least one node";
 }
 
-const ResourceBroker::Aggregates& ResourceBroker::aggregates(
-    const monitor::ClusterSnapshot& snapshot,
-    const AllocationRequest& request) {
-  AggregatesKey key;
-  key.version = snapshot.version;
-  key.node_count = snapshot.nodes.size();
-  key.ppn = request.ppn;
-  if (has_aggregates_ && key.version != 0 && key == aggregates_key_) {
-    last_aggregates_hit_ = true;
-    obs::metrics::broker_aggregates_cache_hits().inc();
-    return aggregates_;
-  }
-  if (has_aggregates_) {
-    NLARM_DEBUG << "broker aggregates memo invalidated: snapshot version "
-                << aggregates_key_.version << " -> " << key.version;
-  }
-  last_aggregates_hit_ = false;
-  obs::metrics::broker_aggregates_cache_misses().inc();
-
-  has_aggregates_ = false;
-  aggregates_.usable = snapshot.usable_nodes();
-
-  // Cluster-wide load per core.
-  double load_sum = 0.0;
-  double core_sum = 0.0;
-  for (cluster::NodeId id : aggregates_.usable) {
-    const monitor::NodeSnapshot& node =
-        snapshot.nodes[static_cast<std::size_t>(id)];
-    load_sum += node.cpu_load_avg.one_min;
-    core_sum += static_cast<double>(node.spec.core_count);
-  }
-  aggregates_.load_per_core = core_sum > 0.0 ? load_sum / core_sum : 0.0;
-
-  aggregates_.effective_capacity = 0;
-  if (!aggregates_.usable.empty()) {
-    const std::vector<int> pc =
-        effective_process_counts(snapshot, aggregates_.usable, request.ppn);
-    for (int c : pc) aggregates_.effective_capacity += c;
-  }
-
-  aggregates_key_ = key;
-  has_aggregates_ = true;
-  return aggregates_;
-}
-
 namespace {
 
 /// The wait/allocate gate verdict (extracted so decide() can audit it).
@@ -100,6 +55,11 @@ BrokerDecision evaluate_gate(const BrokerPolicy& policy,
   return decision;
 }
 
+/// The audit degradation label: the serving note when one is set.
+const char* note_or(const char* note, const char* fallback) {
+  return note != nullptr && note[0] != '\0' ? note : fallback;
+}
+
 }  // namespace
 
 BrokerDecision ResourceBroker::decide(
@@ -110,27 +70,18 @@ BrokerDecision ResourceBroker::decide(
   obs::metrics::broker_decisions().inc();
   obs::ScopedSpan decide_span("broker.decide");
 
-  // Only the genuinely shared mutable state takes the lock: the aggregates
-  // memo here, the borrowed allocator below. Gate evaluation, counters and
-  // the audit append run unserialized, so concurrent classic callers whose
-  // verdict is "wait" (and the audit I/O of all callers) no longer queue
-  // behind each other.
+  // The gate reads only the snapshot it is handed; only the borrowed
+  // allocator below takes the lock, so concurrent classic callers whose
+  // verdict is "wait" (and the audit I/O of all callers) never queue.
   obs::ScopedSpan gate_span("broker.gate",
                             &obs::metrics::broker_gate_seconds());
-  std::size_t usable_count = 0;
-  double load_per_core = 0.0;
-  int effective_capacity = 0;
-  bool memo_hit = false;
-  {
-    std::lock_guard<std::mutex> lock(decide_mutex_);
-    const Aggregates& agg = aggregates(snapshot, request);
-    usable_count = agg.usable.size();
-    load_per_core = agg.load_per_core;
-    effective_capacity = agg.effective_capacity;
-    memo_hit = last_aggregates_hit_;
-  }
-  BrokerDecision decision = evaluate_gate(policy_, request, usable_count,
-                                          load_per_core, effective_capacity);
+  const std::vector<cluster::NodeId> usable = snapshot.usable_nodes();
+  const GateAggregates gate = gate_aggregates(
+      snapshot, usable,
+      effective_process_counts(snapshot, usable, request.ppn));
+  BrokerDecision decision =
+      evaluate_gate(policy_, request, usable.size(), gate.load_per_core,
+                    gate.effective_capacity);
   const double gate_seconds = gate_span.stop();
 
   AllocStats stats;
@@ -157,51 +108,63 @@ BrokerDecision ResourceBroker::decide(
 
   const double total_seconds = decide_span.stop();
   obs::metrics::serve_decide_sketch().observe(total_seconds);
-
-  if (audit_log_ != nullptr) {
-    obs::AuditRecord record;
-    record.nprocs = request.nprocs;
-    record.ppn = request.ppn;
-    record.alpha = request.job.alpha;
-    record.beta = request.job.beta;
-    record.snapshot_version = snapshot.version;
-    record.snapshot_time = snapshot.time;
-    record.snapshot_nodes = snapshot.size();
-    record.usable_nodes = static_cast<int>(usable_count);
-    record.action = decision.action == BrokerDecision::Action::kAllocate
-                        ? "allocate"
-                        : "wait";
-    record.reason = decision.reason;
-    record.cluster_load_per_core = decision.cluster_load_per_core;
-    record.effective_capacity = decision.effective_capacity;
-    record.aggregates_cache_hit = memo_hit;
-    record.gate_seconds = gate_seconds;
-    if (decision.action == BrokerDecision::Action::kAllocate) {
-      const Allocation& alloc = decision.allocation;
-      record.policy = alloc.policy;
-      record.total_cost = alloc.total_cost;
-      for (std::size_t i = 0; i < alloc.nodes.size(); ++i) {
-        const auto id = static_cast<std::size_t>(alloc.nodes[i]);
-        record.nodes.push_back(static_cast<int>(alloc.nodes[i]));
-        if (id < snapshot.nodes.size()) {
-          record.hostnames.push_back(snapshot.nodes[id].spec.hostname);
-        }
-        record.procs_per_node.push_back(alloc.procs_per_node[i]);
-      }
-      if (have_stats) {
-        record.prepared_cache_hit = stats.prepared_cache_hit;
-        record.candidates_generated = stats.candidates_generated;
-        record.compute_cost = stats.compute_cost;
-        record.network_cost = stats.network_cost;
-        record.prepare_seconds = stats.prepare_seconds;
-        record.generate_seconds = stats.generate_seconds;
-        record.select_seconds = stats.select_seconds;
-      }
-    }
-    record.total_seconds = total_seconds;
-    audit_log_->append(std::move(record));
-  }
+  audit(snapshot, /*epoch=*/nullptr, request, decision, usable.size(), "none",
+        have_stats ? &stats : nullptr, gate_seconds, total_seconds);
   return decision;
+}
+
+void ResourceBroker::audit(const monitor::ClusterSnapshot& snapshot,
+                           const PreparedSnapshot* epoch,
+                           const AllocationRequest& request,
+                           const BrokerDecision& decision,
+                           std::size_t usable_nodes, const char* degradation,
+                           const AllocStats* stats, double gate_seconds,
+                           double total_seconds) {
+  if (audit_log_ == nullptr) return;
+  obs::AuditRecord record;
+  record.nprocs = request.nprocs;
+  record.ppn = request.ppn;
+  record.alpha = request.job.alpha;
+  record.beta = request.job.beta;
+  record.snapshot_version = snapshot.version;
+  record.snapshot_time = snapshot.time;
+  record.snapshot_nodes = snapshot.size();
+  record.usable_nodes = static_cast<int>(usable_nodes);
+  record.action = decision.action == BrokerDecision::Action::kAllocate
+                      ? "allocate"
+                      : "wait";
+  record.reason = decision.reason;
+  record.cluster_load_per_core = decision.cluster_load_per_core;
+  record.effective_capacity = decision.effective_capacity;
+  record.degradation = degradation;
+  if (epoch != nullptr) {
+    record.epoch = epoch->epoch;
+    record.quarantined_nodes = static_cast<int>(epoch->quarantined);
+  }
+  if (decision.action == BrokerDecision::Action::kAllocate) {
+    const Allocation& alloc = decision.allocation;
+    record.policy = alloc.policy;
+    record.total_cost = alloc.total_cost;
+    for (std::size_t i = 0; i < alloc.nodes.size(); ++i) {
+      const auto id = static_cast<std::size_t>(alloc.nodes[i]);
+      record.nodes.push_back(static_cast<int>(alloc.nodes[i]));
+      if (id < snapshot.nodes.size()) {
+        record.hostnames.push_back(snapshot.nodes[id].spec.hostname);
+      }
+      record.procs_per_node.push_back(alloc.procs_per_node[i]);
+    }
+    if (stats != nullptr) {
+      record.candidates_generated = stats->candidates_generated;
+      record.compute_cost = stats->compute_cost;
+      record.network_cost = stats->network_cost;
+      record.prepare_seconds = stats->prepare_seconds;
+      record.generate_seconds = stats->generate_seconds;
+      record.select_seconds = stats->select_seconds;
+    }
+  }
+  record.gate_seconds = gate_seconds;
+  record.total_seconds = total_seconds;
+  audit_log_->append(std::move(record));
 }
 
 void ResourceBroker::set_refresh_threads(int threads) {
@@ -373,56 +336,11 @@ BrokerDecision ResourceBroker::decide_prepared(
   const double total_seconds = decide_span.stop();
   obs::metrics::serve_decide_sketch().observe(total_seconds);
 
-  if (audit_log_ != nullptr) {
-    obs::AuditRecord record;
-    record.nprocs = request.nprocs;
-    record.ppn = request.ppn;
-    record.alpha = request.job.alpha;
-    record.beta = request.job.beta;
-    record.snapshot_version = prepared.version;
-    record.snapshot_time = prepared.time;
-    record.snapshot_nodes = static_cast<int>(prepared.snapshot->size());
-    record.usable_nodes = static_cast<int>(gate_usable);
-    record.epoch = prepared.epoch;
-    record.action = decision.action == BrokerDecision::Action::kAllocate
-                        ? "allocate"
-                        : "wait";
-    record.reason = decision.reason;
-    record.cluster_load_per_core = decision.cluster_load_per_core;
-    record.effective_capacity = decision.effective_capacity;
-    // The epoch IS the prepared/aggregate cache; serving from it is a hit
-    // by construction.
-    record.aggregates_cache_hit = true;
-    record.gate_seconds = gate_seconds;
-    record.degradation = (degradation_note != nullptr &&
-                          degradation_note[0] != '\0')
-                             ? degradation_note
-                             : (prepared.degraded ? "degraded-epoch" : "none");
-    record.quarantined_nodes = static_cast<int>(prepared.quarantined);
-    if (decision.action == BrokerDecision::Action::kAllocate) {
-      const Allocation& alloc = decision.allocation;
-      record.policy = alloc.policy;
-      record.total_cost = alloc.total_cost;
-      const monitor::ClusterSnapshot& snapshot = *prepared.snapshot;
-      for (std::size_t i = 0; i < alloc.nodes.size(); ++i) {
-        const auto id = static_cast<std::size_t>(alloc.nodes[i]);
-        record.nodes.push_back(static_cast<int>(alloc.nodes[i]));
-        if (id < snapshot.nodes.size()) {
-          record.hostnames.push_back(snapshot.nodes[id].spec.hostname);
-        }
-        record.procs_per_node.push_back(alloc.procs_per_node[i]);
-      }
-      record.prepared_cache_hit = stats.prepared_cache_hit;
-      record.candidates_generated = stats.candidates_generated;
-      record.compute_cost = stats.compute_cost;
-      record.network_cost = stats.network_cost;
-      record.prepare_seconds = stats.prepare_seconds;
-      record.generate_seconds = stats.generate_seconds;
-      record.select_seconds = stats.select_seconds;
-    }
-    record.total_seconds = total_seconds;
-    audit_log_->append(std::move(record));
-  }
+  const bool allocated = decision.action == BrokerDecision::Action::kAllocate;
+  audit(*prepared.snapshot, &prepared, request, decision, gate_usable,
+        note_or(degradation_note,
+                prepared.degraded ? "degraded-epoch" : "none"),
+        allocated ? &stats : nullptr, gate_seconds, total_seconds);
   return decision;
 }
 
@@ -468,24 +386,11 @@ BrokerDecision ResourceBroker::refuse_stale(const PreparedSnapshot& prepared,
   NLARM_WARN << "broker verdict (epoch " << prepared.epoch << "): wait — "
              << decision.reason;
 
-  if (audit_log_ != nullptr) {
-    obs::AuditRecord record;
-    record.nprocs = request.nprocs;
-    record.ppn = request.ppn;
-    record.alpha = request.job.alpha;
-    record.beta = request.job.beta;
-    record.snapshot_version = prepared.version;
-    record.snapshot_time = prepared.time;
-    record.snapshot_nodes = static_cast<int>(prepared.snapshot->size());
-    record.usable_nodes = 0;
-    record.epoch = prepared.epoch;
-    record.action = "wait";
-    record.reason = decision.reason;
-    record.effective_capacity = 0;
-    record.degradation = "refused-stale";
-    record.quarantined_nodes = static_cast<int>(prepared.quarantined);
-    audit_log_->append(std::move(record));
-  }
+  // The refused epoch has no usable nodes, so the record's gate aggregates
+  // (load per core, capacity) are zero.
+  audit(*prepared.snapshot, &prepared, request, decision, /*usable_nodes=*/0,
+        "refused-stale", /*stats=*/nullptr, /*gate_seconds=*/0.0,
+        /*total_seconds=*/0.0);
   return decision;
 }
 
@@ -591,42 +496,9 @@ BrokerDecision ResourceBroker::replay_decision(
   const double total_seconds = decide_span.stop();
   obs::metrics::serve_decide_sketch().observe(total_seconds);
 
-  if (audit_log_ != nullptr) {
-    obs::AuditRecord record;
-    record.nprocs = request.nprocs;
-    record.ppn = request.ppn;
-    record.alpha = request.job.alpha;
-    record.beta = request.job.beta;
-    record.snapshot_version = prepared.version;
-    record.snapshot_time = prepared.time;
-    record.snapshot_nodes = static_cast<int>(prepared.snapshot->size());
-    record.usable_nodes = static_cast<int>(prepared.usable.size());
-    record.epoch = prepared.epoch;
-    record.action = "allocate";
-    record.reason = decision.reason;
-    record.cluster_load_per_core = decision.cluster_load_per_core;
-    record.effective_capacity = decision.effective_capacity;
-    record.aggregates_cache_hit = true;
-    record.degradation = (degradation_note != nullptr &&
-                          degradation_note[0] != '\0')
-                             ? degradation_note
-                             : "cache-replay";
-    record.quarantined_nodes = static_cast<int>(prepared.quarantined);
-    const Allocation& alloc = decision.allocation;
-    record.policy = alloc.policy;
-    record.total_cost = alloc.total_cost;
-    const monitor::ClusterSnapshot& snapshot = *prepared.snapshot;
-    for (std::size_t i = 0; i < alloc.nodes.size(); ++i) {
-      const auto id = static_cast<std::size_t>(alloc.nodes[i]);
-      record.nodes.push_back(static_cast<int>(alloc.nodes[i]));
-      if (id < snapshot.nodes.size()) {
-        record.hostnames.push_back(snapshot.nodes[id].spec.hostname);
-      }
-      record.procs_per_node.push_back(alloc.procs_per_node[i]);
-    }
-    record.total_seconds = total_seconds;
-    audit_log_->append(std::move(record));
-  }
+  audit(*prepared.snapshot, &prepared, request, decision,
+        prepared.usable.size(), note_or(degradation_note, "cache-replay"),
+        /*stats=*/nullptr, /*gate_seconds=*/0.0, total_seconds);
   return decision;
 }
 

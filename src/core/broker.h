@@ -6,9 +6,11 @@
 // should recommend waiting rather than allocating it right away").
 //
 // Two serving paths:
-//  - decide(snapshot, request): the classic synchronous path. Thread-safe
-//    but serialized (the borrowed allocator and the aggregates memo are
-//    shared mutable state).
+//  - decide(snapshot, request): the classic one-shot path. It derives the
+//    gate aggregates from the snapshot it is handed and runs the borrowed
+//    allocator on it, keeping nothing between calls. Thread-safe; only the
+//    allocator call is serialized (baselines carry RNG state, and any
+//    Allocator may sit behind the broker).
 //  - refresh_epoch(...) + decide(pin, request): the concurrent path. A
 //    refresh thread turns snapshots (or snapshot deltas) into immutable
 //    prepared epochs; any number of threads decide() against their pinned
@@ -204,31 +206,6 @@ class ResourceBroker {
   /// replay_decision.
   friend class ServePlane;
 
-  /// Snapshot-level aggregates the wait/allocate gate needs. They only
-  /// depend on the snapshot and the request's ppn, so they are memoized on
-  /// the snapshot version counter — a broker fielding many requests between
-  /// monitor updates computes them once. Version 0 (unversioned snapshot)
-  /// never matches.
-  struct Aggregates {
-    std::vector<cluster::NodeId> usable;
-    double load_per_core = 0.0;
-    int effective_capacity = 0;
-  };
-  /// The float snapshot timestamp is deliberately NOT part of the key: the
-  /// version counter already changes on every store write (and is trusted
-  /// whenever nonzero), while wall-clock time drifts on every re-assembly
-  /// of unchanged data and was defeating the memo.
-  struct AggregatesKey {
-    std::uint64_t version = 0;
-    std::size_t node_count = 0;
-    int ppn = 0;
-
-    bool operator==(const AggregatesKey&) const = default;
-  };
-
-  const Aggregates& aggregates(const monitor::ClusterSnapshot& snapshot,
-                               const AllocationRequest& request);
-
   /// Shared preamble of the four refresh_epoch overloads: constructs the
   /// right builder shape on first use or profile change and re-attaches the
   /// refresh pool. Caller holds builder_mutex_.
@@ -256,7 +233,7 @@ class ResourceBroker {
       std::shared_ptr<const PreparedSnapshot>& keepalive, const char*& note,
       double& last_good_age);
 
-  /// Hand-rolled wait verdict + audit for a refused stale decision.
+  /// Wait verdict + audit for a refused stale decision.
   BrokerDecision refuse_stale(const PreparedSnapshot& prepared,
                               const AllocationRequest& request,
                               double last_good_age);
@@ -271,18 +248,24 @@ class ResourceBroker {
                                  const BrokerDecision& cached,
                                  const char* degradation_note);
 
+  /// Builds the decision's audit record and appends it to the attached
+  /// log (no-op without one) — the one record fill behind the classic
+  /// decide, decide_prepared, refuse_stale and replay_decision. `epoch` is
+  /// the serving epoch (null on the classic path, which carries epoch 0),
+  /// `stats` the scoring pass's (null when none ran or the allocator
+  /// exposes none).
+  void audit(const monitor::ClusterSnapshot& snapshot,
+             const PreparedSnapshot* epoch, const AllocationRequest& request,
+             const BrokerDecision& decision, std::size_t usable_nodes,
+             const char* degradation, const AllocStats* stats,
+             double gate_seconds, double total_seconds);
+
   Allocator& allocator_;
   BrokerPolicy policy_;
-  /// Guards only the classic path's genuinely shared mutable state — the
-  /// aggregates memo and the borrowed allocator — NOT the whole decide():
-  /// gate evaluation, stat counters (atomics) and the audit append run
-  /// outside it, so wait verdicts and audit I/O no longer serialize
-  /// concurrent classic callers.
+  /// Guards only the borrowed allocator on the classic path — NOT the
+  /// whole decide(): the gate, stat counters (atomics) and the audit append
+  /// run outside it.
   std::mutex decide_mutex_;
-  Aggregates aggregates_;
-  AggregatesKey aggregates_key_;
-  bool has_aggregates_ = false;
-  bool last_aggregates_hit_ = false;  ///< memo outcome of the last decide()
   std::atomic<int> decisions_{0};
   std::atomic<int> waits_{0};
   std::atomic<int> fallbacks_{0};

@@ -197,7 +197,6 @@ Allocation allocate_two_phase(const PreparedSnapshot& prepared,
   AllocStats local_stats;
   AllocStats& out_stats = stats != nullptr ? *stats : local_stats;
   out_stats = AllocStats{};
-  out_stats.prepared_cache_hit = true;
   out_stats.usable_nodes = prepared.usable.size();
   obs::ScopedSpan total_span("alloc.total",
                              &obs::metrics::alloc_total_seconds());
@@ -225,9 +224,11 @@ Allocation allocate_two_phase(const PreparedSnapshot& prepared,
   // pool (select_best_candidate renormalizes over the candidate set anyway).
   std::vector<double> pool_cl(w);
   std::vector<int> pool_pc(w);
+  std::vector<cluster::NodeId> pool_nodes(w);
   for (std::size_t i = 0; i < w; ++i) {
     pool_cl[i] = prepared.cl[pool[i]];
     pool_pc[i] = pc[pool[i]];
+    pool_nodes[i] = prepared.usable[pool[i]];
   }
 
   const std::size_t tiles_before = tiled.tiles_materialized();
@@ -270,42 +271,9 @@ Allocation allocate_two_phase(const PreparedSnapshot& prepared,
         << "no admissible start survived phase-1 pruning";
   }
 
-  obs::ScopedSpan generate_span("alloc.generate",
-                                &obs::metrics::alloc_generate_seconds());
-  std::vector<Candidate> candidates =
-      pool_starts.empty() && starts.empty()
-          ? generate_all_candidates(pool_cl, pool_nl, pool_pc, request.nprocs,
-                                    request.job, gen)
-          : generate_all_candidates(pool_cl, pool_nl, pool_pc, request.nprocs,
-                                    request.job, pool_starts, gen);
-  out_stats.generate_seconds = generate_span.stop();
-  out_stats.candidates_generated = candidates.size();
-  obs::metrics::alloc_candidates_generated().inc(candidates.size());
-  if (static_cast<std::size_t>(request.nprocs) < w) {
-    obs::metrics::alloc_topk_generations().inc();
-  } else {
-    obs::metrics::alloc_fullsort_generations().inc();
-  }
-
-  obs::ScopedSpan select_span("alloc.select",
-                              &obs::metrics::alloc_select_seconds());
-  const SelectionResult selection = select_best_candidate(
-      std::move(candidates), pool_cl, pool_nl, request.job);
-  out_stats.select_seconds = select_span.stop();
-
-  const ScoredCandidate& best = selection.scored[selection.best_index];
-  out_stats.compute_cost = best.compute_cost;
-  out_stats.network_cost = best.network_cost;
-  Allocation allocation;
-  allocation.policy = "hierarchical";
-  allocation.total_procs = request.nprocs;
-  allocation.total_cost = best.total_cost;
-  for (std::size_t i = 0; i < best.candidate.members.size(); ++i) {
-    allocation.nodes.push_back(
-        prepared.usable[pool[best.candidate.members[i]]]);
-    allocation.procs_per_node.push_back(best.candidate.procs[i]);
-  }
-  annotate_allocation(allocation, *prepared.snapshot);
+  Allocation allocation = detail::allocate_working_set(
+      pool_cl, pool_nl, pool_pc, pool_nodes, *prepared.snapshot, request,
+      pool_starts, gen, "hierarchical", out_stats);
   hs.phase2_seconds = phase2_span.stop();
   out_stats.total_seconds = total_span.stop();
   out_stats.valid = true;
@@ -444,22 +412,12 @@ Allocation HierarchicalAllocator::allocate(
   const std::vector<int> pool_pc =
       effective_process_counts(snapshot, pool, request.ppn);
 
-  std::vector<Candidate> node_candidates = generate_all_candidates(
-      pool_cl, pool_nl, pool_pc, request.nprocs, request.job);
-  const SelectionResult node_selection = select_best_candidate(
-      std::move(node_candidates), pool_cl, pool_nl, request.job);
-  const ScoredCandidate& best =
-      node_selection.scored[node_selection.best_index];
-
-  Allocation allocation;
-  allocation.policy = name();
-  allocation.total_procs = request.nprocs;
-  allocation.total_cost = best.total_cost;
-  for (std::size_t i = 0; i < best.candidate.members.size(); ++i) {
-    allocation.nodes.push_back(pool[best.candidate.members[i]]);
-    allocation.procs_per_node.push_back(best.candidate.procs[i]);
-  }
-  annotate_allocation(allocation, snapshot);
+  // This allocator exposes no AllocStats; the core still observes the
+  // alloc generate/select series like every other entry point.
+  AllocStats pool_stats;
+  Allocation allocation = detail::allocate_working_set(
+      pool_cl, pool_nl, pool_pc, pool, snapshot, request, /*starts=*/{},
+      /*options=*/{}, "hierarchical", pool_stats);
   stats_.phase2_seconds = phase2_span.stop();
   return allocation;
 }

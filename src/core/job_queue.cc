@@ -10,8 +10,7 @@
 namespace nlarm::core {
 
 JobQueue::JobQueue(Allocator& allocator, QueueOptions options)
-    : allocator_(allocator),
-      broker_(allocator, options.broker),
+    : broker_(allocator, options.broker),
       options_(options),
       backoff_rng_(options.backoff_seed) {
   NLARM_CHECK(options.max_attempts >= 0) << "negative max attempts";
@@ -49,6 +48,8 @@ std::vector<cluster::NodeId> JobQueue::reserved_nodes() const {
 std::optional<StartedJob> JobQueue::try_start(
     const QueuedJob& job, const monitor::ClusterSnapshot& snapshot,
     double now) {
+  // The view keeps the parent's version while dropping reserved hosts, so
+  // nothing below the broker may treat the version as the state's identity.
   monitor::ClusterSnapshot view = snapshot;
   if (options_.reserve_nodes) {
     for (cluster::NodeId id : reserved_nodes()) {

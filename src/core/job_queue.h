@@ -95,7 +95,6 @@ class JobQueue {
   /// The post-failure backoff deadline for a job on its (new) attempt count.
   double backoff_deadline(const QueuedJob& job, double now);
 
-  Allocator& allocator_;
   ResourceBroker broker_;
   QueueOptions options_;
   sim::Rng backoff_rng_;

@@ -528,31 +528,34 @@ PreparedBuilder::PreparedBuilder(RequestProfile profile, TilingOptions tiling)
   tiling_ = tiling;
 }
 
+GateAggregates gate_aggregates(const monitor::ClusterSnapshot& snapshot,
+                               std::span<const cluster::NodeId> usable,
+                               std::span<const int> pc) {
+  GateAggregates out;
+  double load_sum = 0.0;
+  double core_sum = 0.0;
+  for (cluster::NodeId id : usable) {
+    const monitor::NodeSnapshot& node =
+        snapshot.nodes[static_cast<std::size_t>(id)];
+    load_sum += node.cpu_load_avg.one_min;
+    core_sum += static_cast<double>(node.spec.core_count);
+  }
+  out.load_per_core = core_sum > 0.0 ? load_sum / core_sum : 0.0;
+  for (int c : pc) out.effective_capacity += c;
+  return out;
+}
+
 void PreparedBuilder::recompute_node_state() {
   if (usable_.empty()) {
     cl_.clear();
     pc_.clear();
-    load_per_core_ = 0.0;
-    effective_capacity_ = 0;
+    gate_ = GateAggregates{};
     return;
   }
   cl_ = rescale_unit_mean(
       compute_loads(*snapshot_, usable_, profile_.compute_weights));
   pc_ = effective_process_counts(*snapshot_, usable_, profile_.ppn);
-
-  // Same accumulation order as the classic broker aggregates, so epoch gate
-  // verdicts are bit-identical to ResourceBroker::aggregates().
-  double load_sum = 0.0;
-  double core_sum = 0.0;
-  for (cluster::NodeId id : usable_) {
-    const monitor::NodeSnapshot& node =
-        snapshot_->nodes[static_cast<std::size_t>(id)];
-    load_sum += node.cpu_load_avg.one_min;
-    core_sum += static_cast<double>(node.spec.core_count);
-  }
-  load_per_core_ = core_sum > 0.0 ? load_sum / core_sum : 0.0;
-  effective_capacity_ = 0;
-  for (int c : pc_) effective_capacity_ += c;
+  gate_ = gate_aggregates(*snapshot_, usable_, pc_);
 }
 
 void PreparedBuilder::rebuild(
@@ -739,8 +742,8 @@ std::shared_ptr<PreparedSnapshot> PreparedBuilder::build() {
   prepared->tiles = tiles_cache_;
   prepared->pc = pc_;
   prepared->pos_of = pos_of_;
-  prepared->load_per_core = load_per_core_;
-  prepared->effective_capacity = effective_capacity_;
+  prepared->load_per_core = gate_.load_per_core;
+  prepared->effective_capacity = gate_.effective_capacity;
   prepared->incremental = incremental_;
   prepared->delta_nodes = delta_nodes_;
   prepared->delta_pairs = delta_pairs_;
@@ -768,47 +771,12 @@ Allocation allocate_prepared(const PreparedSnapshot& prepared,
   AllocStats local_stats;
   AllocStats& out_stats = stats != nullptr ? *stats : local_stats;
   out_stats = AllocStats{};
-  out_stats.prepared_cache_hit = true;  // the epoch IS the prepared state
   out_stats.usable_nodes = prepared.usable.size();
   obs::ScopedSpan total_span("alloc.total",
                              &obs::metrics::alloc_total_seconds());
-
-  obs::ScopedSpan generate_span("alloc.generate",
-                                &obs::metrics::alloc_generate_seconds());
-  std::vector<Candidate> candidates =
-      starts.empty()
-          ? generate_all_candidates(prepared.cl, *prepared.nl, pc,
-                                    request.nprocs, request.job, options)
-          : generate_all_candidates(prepared.cl, *prepared.nl, pc,
-                                    request.nprocs, request.job, starts,
-                                    options);
-  out_stats.generate_seconds = generate_span.stop();
-  out_stats.candidates_generated = candidates.size();
-  obs::metrics::alloc_candidates_generated().inc(candidates.size());
-  if (static_cast<std::size_t>(request.nprocs) < prepared.usable.size()) {
-    obs::metrics::alloc_topk_generations().inc();
-  } else {
-    obs::metrics::alloc_fullsort_generations().inc();
-  }
-
-  obs::ScopedSpan select_span("alloc.select",
-                              &obs::metrics::alloc_select_seconds());
-  const SelectionResult selection = select_best_candidate(
-      std::move(candidates), prepared.cl, *prepared.nl, request.job);
-  out_stats.select_seconds = select_span.stop();
-
-  const ScoredCandidate& best = selection.scored[selection.best_index];
-  out_stats.compute_cost = best.compute_cost;
-  out_stats.network_cost = best.network_cost;
-  Allocation allocation;
-  allocation.policy = "network-load-aware";
-  allocation.total_procs = request.nprocs;
-  allocation.total_cost = best.total_cost;
-  for (std::size_t i = 0; i < best.candidate.members.size(); ++i) {
-    allocation.nodes.push_back(prepared.usable[best.candidate.members[i]]);
-    allocation.procs_per_node.push_back(best.candidate.procs[i]);
-  }
-  annotate_allocation(allocation, *prepared.snapshot);
+  Allocation allocation = detail::allocate_working_set(
+      prepared.cl, *prepared.nl, pc, prepared.usable, *prepared.snapshot,
+      request, starts, options, "network-load-aware", out_stats);
   out_stats.total_seconds = total_span.stop();
   out_stats.valid = true;
   return allocation;

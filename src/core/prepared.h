@@ -1,8 +1,8 @@
 // Prepared allocator state as a first-class, incrementally-maintained value.
 //
-// PR 1 memoized the O(V²) prepared inputs (normalized CL, NL matrix, pc)
-// per whole-snapshot version, so ANY monitor write threw all of it away.
-// This layer makes re-preparation scale with what actually changed:
+// The prepared inputs (normalized CL, NL matrix, pc) cost O(V²) to derive
+// from a snapshot. This layer makes re-preparation scale with what actually
+// changed:
 //
 //   MonitorStore ──assemble()──► ClusterSnapshot ─┐
 //        └───────drain_delta()─► SnapshotDelta  ──┤
@@ -35,10 +35,10 @@
 // no per-pair storage. A patch re-reads the pair's old terms from the
 // previous snapshot, so update() needs that snapshot unmodified. The plain
 // builder and the one-shot prepared_network_loads() use a single block; a
-// tiled builder partitions by switch or into fixed-size blocks. prepare()
-// in the allocator and reference::allocate consume the same canonical
-// pipeline (prepared_network_loads), keeping the golden-equivalence suite
-// meaningful.
+// tiled builder partitions by switch or into fixed-size blocks. The
+// one-shot NetworkLoadAwareAllocator::allocate and reference::allocate
+// consume the same canonical pipeline (prepared_network_loads), keeping the
+// golden-equivalence suite meaningful.
 #pragma once
 
 #include <array>
@@ -329,7 +329,7 @@ class TiledPairState {
 
 /// One-shot canonical prepared-NL matrix (normalize by chunked sums, fill
 /// missing with the measured mean, unit-mean rescale). This is what the
-/// allocator's prepare(), reference::allocate and the epoch builder all use;
+/// one-shot allocator, reference::allocate and the epoch builder all use;
 /// it intentionally supersedes rescale_unit_mean(network_loads(...)) as the
 /// prepared-input definition (the raw network_loads() stays as the Eq. 2
 /// diagnostic form).
@@ -337,6 +337,20 @@ void prepared_network_loads(const monitor::ClusterSnapshot& snapshot,
                             std::span<const cluster::NodeId> nodes,
                             const NetworkLoadWeights& weights,
                             util::FlatMatrix& out);
+
+/// The broker gate's aggregates over a working set: the mean 1-minute CPU
+/// load per logical core and the effective capacity Σ pc. The one
+/// definition behind both PreparedBuilder epochs and the classic
+/// ResourceBroker::decide(snapshot), so their wait verdicts agree bit for
+/// bit.
+struct GateAggregates {
+  double load_per_core = 0.0;
+  int effective_capacity = 0;
+};
+
+GateAggregates gate_aggregates(const monitor::ClusterSnapshot& snapshot,
+                               std::span<const cluster::NodeId> usable,
+                               std::span<const int> pc);
 
 /// An immutable epoch: everything a decide() needs, derived from one
 /// snapshot version and one request profile. Safe to read from any number
@@ -366,7 +380,7 @@ struct PreparedSnapshot {
   /// uses this to debit capacity by node id.
   std::vector<std::int32_t> pos_of;
 
-  // Broker-gate aggregates (same accumulation order as the classic path).
+  // Broker-gate aggregates (gate_aggregates over usable/pc).
   double load_per_core = 0.0;
   int effective_capacity = 0;
 
@@ -457,8 +471,7 @@ class PreparedBuilder {
   std::vector<std::int32_t> pos_of_;
   std::vector<double> cl_;
   std::vector<int> pc_;
-  double load_per_core_ = 0.0;
-  int effective_capacity_ = 0;
+  GateAggregates gate_;
 
   std::optional<TilingOptions> tiling_;  ///< nullopt = one block
   detail::TiledNlState pair_state_;

@@ -63,9 +63,11 @@ struct NetSnapshot {
 struct ClusterSnapshot {
   double time = 0.0;               ///< assembly time
   /// Monotone change counter stamped by the assembling MonitorStore; 0 means
-  /// "unversioned" (hand-built snapshots) and disables every memoization
-  /// keyed on it. Two snapshots from the same process with equal non-zero
-  /// versions carry identical monitored state.
+  /// "unversioned" (hand-built snapshots). It orders store writes, and
+  /// PreparedBuilder::update chains deltas on it (delta base == held
+  /// version). It is NOT the state's identity: copies that drop hosts keep
+  /// it (JobQueue's reservation views), and ResourceMonitor::snapshot()
+  /// filters stale records by the time of the call.
   std::uint64_t version = 0;
   std::vector<bool> livehosts;     ///< LivehostsD's view
   std::vector<NodeSnapshot> nodes;

@@ -47,7 +47,6 @@ void append_json_string(std::ostringstream& out, const std::string& s) {
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
   Kind kind = Kind::kNull;
-  bool boolean = false;
   double number = 0.0;
   std::string string;
   std::vector<JsonValue> array;
@@ -111,16 +110,12 @@ class JsonParser {
     for (const char* p = word; *p != '\0'; ++p) expect(*p);
   }
 
+  // No record field is a bool; a bool value (an older record's cache flag)
+  // parses and is ignored.
   JsonValue parse_bool() {
+    expect_word(peek() == 't' ? "true" : "false");
     JsonValue v;
     v.kind = JsonValue::Kind::kBool;
-    if (peek() == 't') {
-      expect_word("true");
-      v.boolean = true;
-    } else {
-      expect_word("false");
-      v.boolean = false;
-    }
     return v;
   }
 
@@ -238,12 +233,6 @@ double get_number(const JsonValue& obj, const char* key, double fallback) {
   return it->second.number;
 }
 
-bool get_bool(const JsonValue& obj, const char* key, bool fallback) {
-  auto it = obj.object.find(key);
-  if (it == obj.object.end()) return fallback;
-  return it->second.boolean;
-}
-
 std::string get_string(const JsonValue& obj, const char* key) {
   auto it = obj.object.find(key);
   if (it == obj.object.end()) return {};
@@ -286,8 +275,7 @@ std::string AuditRecord::to_json() const {
   append_json_string(out, reason);
   out << ",\"cluster_load_per_core\":" << num(cluster_load_per_core)
       << ",\"effective_capacity\":" << effective_capacity
-      << ",\"aggregates_cache_hit\":"
-      << (aggregates_cache_hit ? "true" : "false") << ",\"degradation\":";
+      << ",\"degradation\":";
   append_json_string(out, degradation);
   out << ",\"quarantined_nodes\":" << quarantined_nodes << ",\"policy\":";
   append_json_string(out, policy);
@@ -308,8 +296,7 @@ std::string AuditRecord::to_json() const {
   }
   out << "],\"compute_cost\":" << num(compute_cost)
       << ",\"network_cost\":" << num(network_cost)
-      << ",\"total_cost\":" << num(total_cost) << ",\"prepared_cache_hit\":"
-      << (prepared_cache_hit ? "true" : "false")
+      << ",\"total_cost\":" << num(total_cost)
       << ",\"candidates_generated\":" << candidates_generated
       << ",\"stages\":{\"gate\":" << num(gate_seconds)
       << ",\"prepare\":" << num(prepare_seconds)
@@ -339,7 +326,6 @@ AuditRecord AuditRecord::from_json(const std::string& json) {
   r.cluster_load_per_core = get_number(root, "cluster_load_per_core", 0.0);
   r.effective_capacity =
       static_cast<int>(get_number(root, "effective_capacity", 0));
-  r.aggregates_cache_hit = get_bool(root, "aggregates_cache_hit", false);
   r.degradation = get_string(root, "degradation");
   if (r.degradation.empty()) r.degradation = "none";  // pre-degradation logs
   r.quarantined_nodes =
@@ -351,7 +337,6 @@ AuditRecord AuditRecord::from_json(const std::string& json) {
   r.compute_cost = get_number(root, "compute_cost", 0.0);
   r.network_cost = get_number(root, "network_cost", 0.0);
   r.total_cost = get_number(root, "total_cost", 0.0);
-  r.prepared_cache_hit = get_bool(root, "prepared_cache_hit", false);
   r.candidates_generated =
       static_cast<std::uint64_t>(get_number(root, "candidates_generated", 0));
   auto stages = root.object.find("stages");

@@ -1,8 +1,8 @@
 // Structured decision audit: one JSON object per brokered allocation.
 //
 // The broker fills an AuditRecord per decide() call — request, snapshot
-// identity, gate verdict, chosen nodes with their costs, memoization
-// hit/miss, per-stage wall times — and appends it to an attached AuditLog.
+// identity, serving epoch, gate verdict, chosen nodes with their costs,
+// per-stage wall times — and appends it to an attached AuditLog.
 // Records serialize to single-line JSON (JSONL when concatenated) and parse
 // back for tooling and tests.
 #pragma once
@@ -33,7 +33,6 @@ struct AuditRecord {
   std::string reason;
   double cluster_load_per_core = 0.0;
   int effective_capacity = 0;
-  bool aggregates_cache_hit = false;
 
   // Degradation verdict: "none" | "degraded-epoch" (served from an epoch
   // rewritten for staleness) | "last-good-fallback" (current epoch poisoned,
@@ -50,7 +49,6 @@ struct AuditRecord {
   double compute_cost = 0.0;  ///< C_Gv of the winning candidate
   double network_cost = 0.0;  ///< N_Gv of the winning candidate
   double total_cost = 0.0;    ///< T_Gv of the winning candidate
-  bool prepared_cache_hit = false;
   std::uint64_t candidates_generated = 0;
 
   // Per-stage wall times (seconds). Allocator stages are zero on wait.
@@ -63,9 +61,10 @@ struct AuditRecord {
   /// Single-line JSON object (no trailing newline).
   std::string to_json() const;
 
-  /// Parses a record serialized by to_json(). Unknown fields are ignored;
-  /// missing fields keep their defaults. Throws CheckError on malformed
-  /// JSON.
+  /// Parses a record serialized by to_json(). Unknown fields are ignored
+  /// (older records' prepared_cache_hit/aggregates_cache_hit flags among
+  /// them); missing fields keep their defaults. Throws CheckError on
+  /// malformed JSON.
   static AuditRecord from_json(const std::string& json);
 };
 

@@ -33,14 +33,6 @@ MetricsRegistry& reg() { return MetricsRegistry::global(); }
 NLARM_CATALOG_COUNTER(alloc_requests, "nlarm_alloc_requests_total",
                       "Allocation requests served by the network-load-aware "
                       "allocator.")
-NLARM_CATALOG_COUNTER(alloc_prepared_cache_hits,
-                      "nlarm_alloc_prepared_cache_hits_total",
-                      "Prepared-input memoization hits (CL/NL/pc reused for "
-                      "an unchanged snapshot version).")
-NLARM_CATALOG_COUNTER(alloc_prepared_cache_misses,
-                      "nlarm_alloc_prepared_cache_misses_total",
-                      "Prepared-input memoization misses (full O(V^2) input "
-                      "preparation ran).")
 NLARM_CATALOG_COUNTER(alloc_candidates_generated,
                       "nlarm_alloc_candidates_generated_total",
                       "Candidate sub-graphs generated (one per start node "
@@ -125,13 +117,6 @@ NLARM_CATALOG_COUNTER(broker_waits, "nlarm_broker_waits_total",
                       "Decisions that recommended waiting.")
 NLARM_CATALOG_COUNTER(broker_allocations, "nlarm_broker_allocations_total",
                       "Decisions that allocated nodes.")
-NLARM_CATALOG_COUNTER(broker_aggregates_cache_hits,
-                      "nlarm_broker_aggregates_cache_hits_total",
-                      "Broker gate aggregates served from the snapshot-"
-                      "version memo.")
-NLARM_CATALOG_COUNTER(broker_aggregates_cache_misses,
-                      "nlarm_broker_aggregates_cache_misses_total",
-                      "Broker gate aggregates recomputed from the snapshot.")
 NLARM_CATALOG_HISTOGRAM(broker_gate_seconds, "nlarm_broker_gate_seconds",
                         "Wall time of the wait/allocate gate evaluation.")
 NLARM_CATALOG_COUNTER(broker_epoch_decisions,
@@ -510,8 +495,6 @@ NLARM_CATALOG_GAUGE(probe_traffic_fraction, "nlarm_probe_traffic_fraction",
 
 void register_all() {
   alloc_requests();
-  alloc_prepared_cache_hits();
-  alloc_prepared_cache_misses();
   alloc_candidates_generated();
   alloc_topk_generations();
   alloc_fullsort_generations();
@@ -537,8 +520,6 @@ void register_all() {
   broker_decisions();
   broker_waits();
   broker_allocations();
-  broker_aggregates_cache_hits();
-  broker_aggregates_cache_misses();
   broker_gate_seconds();
   broker_epoch_decisions();
   broker_batches();

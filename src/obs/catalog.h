@@ -15,8 +15,6 @@ namespace nlarm::obs::metrics {
 
 // --- allocator (NetworkLoadAwareAllocator) ---
 Counter& alloc_requests();               ///< nlarm_alloc_requests_total
-Counter& alloc_prepared_cache_hits();    ///< nlarm_alloc_prepared_cache_hits_total
-Counter& alloc_prepared_cache_misses();  ///< nlarm_alloc_prepared_cache_misses_total
 Counter& alloc_candidates_generated();   ///< nlarm_alloc_candidates_generated_total
 Counter& alloc_topk_generations();       ///< nlarm_alloc_topk_generations_total
 Counter& alloc_fullsort_generations();   ///< nlarm_alloc_fullsort_generations_total
@@ -50,8 +48,6 @@ Gauge& epoch_staleness_burn_ratio();     ///< nlarm_epoch_staleness_burn_ratio
 Counter& broker_decisions();             ///< nlarm_broker_decisions_total
 Counter& broker_waits();                 ///< nlarm_broker_waits_total
 Counter& broker_allocations();           ///< nlarm_broker_allocations_total
-Counter& broker_aggregates_cache_hits();   ///< nlarm_broker_aggregates_cache_hits_total
-Counter& broker_aggregates_cache_misses(); ///< nlarm_broker_aggregates_cache_misses_total
 Histogram& broker_gate_seconds();        ///< nlarm_broker_gate_seconds
 Counter& broker_epoch_decisions();       ///< nlarm_broker_epoch_decisions_total
 Counter& broker_batches();               ///< nlarm_broker_batches_total

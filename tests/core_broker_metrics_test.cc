@@ -29,20 +29,12 @@ AllocationRequest request_for(int nprocs, int ppn = 4) {
 
 TEST(BrokerMetricsTest, RepeatedDecideOnSameSnapshotHitsCaches) {
   auto snap = make_snapshot(idle_nodes(6));
-  snap.version = 42;  // versioned like a MonitorStore snapshot → memoizable
+  snap.version = 42;  // versioned like a MonitorStore snapshot
   NetworkLoadAwareAllocator allocator;
   ResourceBroker broker(allocator);
   obs::AuditLog audit;
   broker.set_audit_log(&audit);
 
-  const std::uint64_t prepared_hits0 =
-      obs::metrics::alloc_prepared_cache_hits().value();
-  const std::uint64_t prepared_misses0 =
-      obs::metrics::alloc_prepared_cache_misses().value();
-  const std::uint64_t agg_hits0 =
-      obs::metrics::broker_aggregates_cache_hits().value();
-  const std::uint64_t agg_misses0 =
-      obs::metrics::broker_aggregates_cache_misses().value();
   const std::uint64_t decisions0 = obs::metrics::broker_decisions().value();
   const std::uint64_t allocations0 =
       obs::metrics::broker_allocations().value();
@@ -50,34 +42,20 @@ TEST(BrokerMetricsTest, RepeatedDecideOnSameSnapshotHitsCaches) {
 
   const BrokerDecision first = broker.decide(snap, request_for(8));
   ASSERT_EQ(first.action, BrokerDecision::Action::kAllocate);
-  EXPECT_EQ(obs::metrics::alloc_prepared_cache_misses().value(),
-            prepared_misses0 + 1);
-  EXPECT_EQ(obs::metrics::broker_aggregates_cache_misses().value(),
-            agg_misses0 + 1);
 
   const BrokerDecision second = broker.decide(snap, request_for(8));
   ASSERT_EQ(second.action, BrokerDecision::Action::kAllocate);
 
-  // Unchanged snapshot + same request shape → both memo layers hit once.
-  EXPECT_EQ(obs::metrics::alloc_prepared_cache_hits().value(),
-            prepared_hits0 + 1);
-  EXPECT_EQ(obs::metrics::alloc_prepared_cache_misses().value(),
-            prepared_misses0 + 1);
-  EXPECT_EQ(obs::metrics::broker_aggregates_cache_hits().value(),
-            agg_hits0 + 1);
   EXPECT_EQ(obs::metrics::broker_decisions().value(), decisions0 + 2);
   EXPECT_EQ(obs::metrics::broker_allocations().value(), allocations0 + 2);
   EXPECT_EQ(obs::metrics::alloc_requests().value(), requests0 + 2);
 
-  // Audit trail: one record per decide(), the second marked as a cache hit.
+  // Audit trail: one record per decide().
   ASSERT_EQ(audit.records().size(), 2u);
   const std::vector<obs::AuditRecord> records = audit.records();
   const obs::AuditRecord& r0 = records[0];
   const obs::AuditRecord& r1 = records[1];
   EXPECT_EQ(r0.action, "allocate");
-  EXPECT_FALSE(r0.prepared_cache_hit);
-  EXPECT_TRUE(r1.prepared_cache_hit);
-  EXPECT_TRUE(r1.aggregates_cache_hit);
   EXPECT_FALSE(r1.nodes.empty());
   EXPECT_EQ(r1.nodes.size(), r1.hostnames.size());
   EXPECT_EQ(r1.nodes.size(), r1.procs_per_node.size());
@@ -122,26 +100,6 @@ TEST(BrokerMetricsTest, WaitVerdictIsCountedAndAudited) {
   EXPECT_EQ(back.reason, r.reason);
 }
 
-TEST(BrokerMetricsTest, UnversionedSnapshotNeverHitsPreparedCache) {
-  auto snap = make_snapshot(idle_nodes(6));  // version 0 = unversioned
-  NetworkLoadAwareAllocator allocator;
-  ResourceBroker broker(allocator);
-
-  const std::uint64_t hits0 =
-      obs::metrics::alloc_prepared_cache_hits().value();
-  const std::uint64_t misses0 =
-      obs::metrics::alloc_prepared_cache_misses().value();
-
-  ASSERT_EQ(broker.decide(snap, request_for(8)).action,
-            BrokerDecision::Action::kAllocate);
-  ASSERT_EQ(broker.decide(snap, request_for(8)).action,
-            BrokerDecision::Action::kAllocate);
-
-  EXPECT_EQ(obs::metrics::alloc_prepared_cache_hits().value(), hits0);
-  EXPECT_EQ(obs::metrics::alloc_prepared_cache_misses().value(),
-            misses0 + 2);
-}
-
 TEST(BrokerMetricsTest, StageHistogramsObserveEachAllocation) {
   auto snap = make_snapshot(idle_nodes(6));
   snap.version = 7;
@@ -173,7 +131,6 @@ TEST(BrokerMetricsTest, BaselineAllocatorAuditsWithoutStats) {
   const obs::AuditRecord& r = records[0];
   EXPECT_EQ(r.policy, "random");
   EXPECT_FALSE(r.nodes.empty());
-  EXPECT_FALSE(r.prepared_cache_hit);
   EXPECT_EQ(r.candidates_generated, 0u);
 }
 
@@ -182,8 +139,6 @@ TEST(BrokerMetricsTest, RegisterAllExposesEverySeries) {
   const std::string text = obs::MetricsRegistry::global().prometheus_text();
   for (const char* name : {
            "nlarm_alloc_requests_total",
-           "nlarm_alloc_prepared_cache_hits_total",
-           "nlarm_alloc_prepared_cache_misses_total",
            "nlarm_alloc_total_seconds",
            "nlarm_broker_decisions_total",
            "nlarm_broker_gate_seconds",
@@ -195,35 +150,6 @@ TEST(BrokerMetricsTest, RegisterAllExposesEverySeries) {
        }) {
     EXPECT_NE(text.find(name), std::string::npos) << name;
   }
-}
-
-
-TEST(BrokerMetricsTest, DriftedSnapshotTimeStillHitsCaches) {
-  // Regression: the memo keys used to include the snapshot's float
-  // timestamp, so periodically re-assembled (identical, re-stamped) data
-  // never hit. A nonzero version counter is the source of truth.
-  auto snap = make_snapshot(idle_nodes(6));
-  snap.version = 77;
-  NetworkLoadAwareAllocator allocator;
-  ResourceBroker broker(allocator);
-
-  const std::uint64_t agg_hits0 =
-      obs::metrics::broker_aggregates_cache_hits().value();
-  const std::uint64_t prepared_hits0 =
-      obs::metrics::alloc_prepared_cache_hits().value();
-
-  const BrokerDecision first = broker.decide(snap, request_for(8));
-  ASSERT_EQ(first.action, BrokerDecision::Action::kAllocate);
-
-  snap.time += 30.0;  // same data, re-assembled later
-  const BrokerDecision second = broker.decide(snap, request_for(8));
-  ASSERT_EQ(second.action, BrokerDecision::Action::kAllocate);
-
-  EXPECT_EQ(obs::metrics::broker_aggregates_cache_hits().value(),
-            agg_hits0 + 1);
-  EXPECT_EQ(obs::metrics::alloc_prepared_cache_hits().value(),
-            prepared_hits0 + 1);
-  EXPECT_EQ(second.allocation.nodes, first.allocation.nodes);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Golden-equivalence property test for the allocation fast path.
 //
 // The optimized pipeline (flat matrices, top-k candidate generation,
-// generation-time incremental costs, dedup'd selection, parallel fan-out,
-// prepared-input memoization) must be BIT-IDENTICAL to the retained
+// generation-time incremental costs, dedup'd selection, parallel fan-out)
+// must be BIT-IDENTICAL to the retained
 // reference implementation (core/reference.h) — same members, same procs,
 // same raw and normalized costs, same winner — on random monitored
 // snapshots at several cluster sizes, through both the top-k path and the
@@ -194,7 +194,7 @@ void check_on_snapshot(const monitor::ClusterSnapshot& snap, int nprocs) {
   expect_same_allocation(parallel_allocator.allocate(snap, request),
                          ref_alloc);
 
-  // Memoized repeat on a versioned snapshot changes nothing.
+  // A repeat on a versioned snapshot changes nothing.
   monitor::ClusterSnapshot versioned = snap;
   versioned.version = 0xbeef0000ull + static_cast<std::uint64_t>(v);
   NetworkLoadAwareAllocator memo_allocator;
@@ -246,8 +246,8 @@ TEST(FastPathEquivalenceTest, ManySeedsSmallClusters) {
 
 TEST(FastPathEquivalenceTest, MemoizationInvalidatedByVersionBump) {
   // Two different versioned snapshots through one allocator must match what
-  // a fresh allocator computes for each — the cache may never leak stale
-  // inputs across versions.
+  // a fresh allocator computes for each — no inputs may leak from one call
+  // into the next.
   const AllocationRequest request = make_request(12);
   monitor::ClusterSnapshot snap_a = random_snapshot(20, 11);
   snap_a.version = 1;

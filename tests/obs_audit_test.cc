@@ -23,7 +23,6 @@ AuditRecord full_record() {
   r.reason = "cluster healthy: load/core 0.25 \"quoted\" \\ under limit";
   r.cluster_load_per_core = 0.25;
   r.effective_capacity = 480;
-  r.aggregates_cache_hit = true;
   r.policy = "network-load-aware";
   r.nodes = {3, 7, 11};
   r.hostnames = {"node03", "node07", "node11"};
@@ -31,7 +30,6 @@ AuditRecord full_record() {
   r.compute_cost = 1.5;
   r.network_cost = 2.25;
   r.total_cost = 2.0;
-  r.prepared_cache_hit = true;
   r.candidates_generated = 58;
   r.gate_seconds = 0.0001220703125;
   r.prepare_seconds = 0.000244140625;
@@ -41,37 +39,58 @@ AuditRecord full_record() {
   return r;
 }
 
+// full_record() as the earlier record format serialized it: that format
+// also carried the prepared_cache_hit and aggregates_cache_hit memo flags.
+constexpr const char* kEarlierFormatRecord =
+    R"({"nprocs":32,"ppn":4,"alpha":0.3,"beta":0.7,"snapshot_version":12345,)"
+    R"("snapshot_time":1500.5,"snapshot_nodes":60,"usable_nodes":58,)"
+    R"("epoch":0,"action":"allocate","reason":"cluster healthy: load/core )"
+    R"(0.25 \"quoted\" \\ under limit","cluster_load_per_core":0.25,)"
+    R"("effective_capacity":480,"aggregates_cache_hit":true,)"
+    R"("degradation":"none","quarantined_nodes":0,)"
+    R"("policy":"network-load-aware","nodes":[3,7,11],)"
+    R"("hostnames":["node03","node07","node11"],"procs_per_node":[12,12,8],)"
+    R"("compute_cost":1.5,"network_cost":2.25,"total_cost":2,)"
+    R"("prepared_cache_hit":true,"candidates_generated":58,)"
+    R"("stages":{"gate":0.0001220703125,"prepare":0.000244140625,)"
+    R"("generate":0.00048828125,"select":0.0009765625,"total":0.001953125}})";
+
 TEST(AuditRecord, RoundTripPreservesEveryField) {
   const AuditRecord r = full_record();
-  const AuditRecord back = AuditRecord::from_json(r.to_json());
+  for (const std::string& json : {r.to_json(),
+                                  std::string(kEarlierFormatRecord)}) {
+    SCOPED_TRACE(json);
+    const AuditRecord back = AuditRecord::from_json(json);
 
-  EXPECT_EQ(back.nprocs, r.nprocs);
-  EXPECT_EQ(back.ppn, r.ppn);
-  EXPECT_DOUBLE_EQ(back.alpha, r.alpha);
-  EXPECT_DOUBLE_EQ(back.beta, r.beta);
-  EXPECT_EQ(back.snapshot_version, r.snapshot_version);
-  EXPECT_DOUBLE_EQ(back.snapshot_time, r.snapshot_time);
-  EXPECT_EQ(back.snapshot_nodes, r.snapshot_nodes);
-  EXPECT_EQ(back.usable_nodes, r.usable_nodes);
-  EXPECT_EQ(back.action, r.action);
-  EXPECT_EQ(back.reason, r.reason);  // quotes and backslash survive
-  EXPECT_DOUBLE_EQ(back.cluster_load_per_core, r.cluster_load_per_core);
-  EXPECT_EQ(back.effective_capacity, r.effective_capacity);
-  EXPECT_EQ(back.aggregates_cache_hit, r.aggregates_cache_hit);
-  EXPECT_EQ(back.policy, r.policy);
-  EXPECT_EQ(back.nodes, r.nodes);
-  EXPECT_EQ(back.hostnames, r.hostnames);
-  EXPECT_EQ(back.procs_per_node, r.procs_per_node);
-  EXPECT_DOUBLE_EQ(back.compute_cost, r.compute_cost);
-  EXPECT_DOUBLE_EQ(back.network_cost, r.network_cost);
-  EXPECT_DOUBLE_EQ(back.total_cost, r.total_cost);
-  EXPECT_EQ(back.prepared_cache_hit, r.prepared_cache_hit);
-  EXPECT_EQ(back.candidates_generated, r.candidates_generated);
-  EXPECT_DOUBLE_EQ(back.gate_seconds, r.gate_seconds);
-  EXPECT_DOUBLE_EQ(back.prepare_seconds, r.prepare_seconds);
-  EXPECT_DOUBLE_EQ(back.generate_seconds, r.generate_seconds);
-  EXPECT_DOUBLE_EQ(back.select_seconds, r.select_seconds);
-  EXPECT_DOUBLE_EQ(back.total_seconds, r.total_seconds);
+    EXPECT_EQ(back.nprocs, r.nprocs);
+    EXPECT_EQ(back.ppn, r.ppn);
+    EXPECT_DOUBLE_EQ(back.alpha, r.alpha);
+    EXPECT_DOUBLE_EQ(back.beta, r.beta);
+    EXPECT_EQ(back.snapshot_version, r.snapshot_version);
+    EXPECT_DOUBLE_EQ(back.snapshot_time, r.snapshot_time);
+    EXPECT_EQ(back.snapshot_nodes, r.snapshot_nodes);
+    EXPECT_EQ(back.usable_nodes, r.usable_nodes);
+    EXPECT_EQ(back.epoch, r.epoch);
+    EXPECT_EQ(back.action, r.action);
+    EXPECT_EQ(back.reason, r.reason);  // quotes and backslash survive
+    EXPECT_DOUBLE_EQ(back.cluster_load_per_core, r.cluster_load_per_core);
+    EXPECT_EQ(back.effective_capacity, r.effective_capacity);
+    EXPECT_EQ(back.degradation, r.degradation);
+    EXPECT_EQ(back.quarantined_nodes, r.quarantined_nodes);
+    EXPECT_EQ(back.policy, r.policy);
+    EXPECT_EQ(back.nodes, r.nodes);
+    EXPECT_EQ(back.hostnames, r.hostnames);
+    EXPECT_EQ(back.procs_per_node, r.procs_per_node);
+    EXPECT_DOUBLE_EQ(back.compute_cost, r.compute_cost);
+    EXPECT_DOUBLE_EQ(back.network_cost, r.network_cost);
+    EXPECT_DOUBLE_EQ(back.total_cost, r.total_cost);
+    EXPECT_EQ(back.candidates_generated, r.candidates_generated);
+    EXPECT_DOUBLE_EQ(back.gate_seconds, r.gate_seconds);
+    EXPECT_DOUBLE_EQ(back.prepare_seconds, r.prepare_seconds);
+    EXPECT_DOUBLE_EQ(back.generate_seconds, r.generate_seconds);
+    EXPECT_DOUBLE_EQ(back.select_seconds, r.select_seconds);
+    EXPECT_DOUBLE_EQ(back.total_seconds, r.total_seconds);
+  }
 }
 
 TEST(AuditRecord, ToJsonIsSingleLine) {
@@ -86,7 +105,6 @@ TEST(AuditRecord, DefaultRecordRoundTrips) {
   EXPECT_EQ(back.nprocs, 0);
   EXPECT_TRUE(back.action.empty());
   EXPECT_TRUE(back.nodes.empty());
-  EXPECT_FALSE(back.prepared_cache_hit);
 }
 
 TEST(AuditRecord, MalformedJsonThrows) {

@@ -96,16 +96,22 @@ using namespace nlarm;
 
 namespace {
 
+/// The classic-path allocator for a --policy name; nullptr for an unknown
+/// name. The hierarchical policy takes the parsed --pair-sample,
+/// --block-size and --two-phase-min-nodes.
 std::unique_ptr<core::Allocator> make_policy_allocator(
-    const std::string& policy, std::uint64_t seed) {
+    const std::string& policy, std::uint64_t seed,
+    const core::HierarchicalOptions& hierarchical) {
+  if (policy == "network-load-aware")
+    return std::make_unique<core::NetworkLoadAwareAllocator>();
   if (policy == "hierarchical")
-    return std::make_unique<core::HierarchicalAllocator>();
+    return std::make_unique<core::HierarchicalAllocator>(hierarchical);
   if (policy == "load-aware")
     return std::make_unique<core::LoadAwareAllocator>();
   if (policy == "sequential")
     return std::make_unique<core::SequentialAllocator>(seed);
   if (policy == "random") return std::make_unique<core::RandomAllocator>(seed);
-  return std::make_unique<core::NetworkLoadAwareAllocator>();
+  return nullptr;
 }
 
 /// Bitwise decision parity: the drill requires the follower's decision at
@@ -136,6 +142,7 @@ bool decisions_equal(const core::BrokerDecision& a,
 int run_failover_drill(sim::Simulation& sim, monitor::ResourceMonitor& monitor,
                        exp::ChaosHarness& harness, bool* kill_pending,
                        const std::string& policy_name, std::uint64_t seed,
+                       const core::HierarchicalOptions& hier_options,
                        const core::BrokerPolicy& broker_policy,
                        const core::AllocationRequest& request,
                        const std::string& log_path_arg, double drill_seconds,
@@ -149,8 +156,10 @@ int run_failover_drill(sim::Simulation& sim, monitor::ResourceMonitor& monitor,
   const core::RequestProfile profile = core::RequestProfile::of(request);
   // Separate allocator instances: the classic-path allocator carries shared
   // mutable scratch, and the drill's two brokers decide in the same tick.
-  const auto leader_allocator = make_policy_allocator(policy_name, seed);
-  const auto follower_allocator = make_policy_allocator(policy_name, seed);
+  const auto leader_allocator =
+      make_policy_allocator(policy_name, seed, hier_options);
+  const auto follower_allocator =
+      make_policy_allocator(policy_name, seed, hier_options);
   core::ResourceBroker leader(*leader_allocator, broker_policy);
   if (refresh_threads > 1) leader.set_refresh_threads(refresh_threads);
   monitor::DeltaLogWriter writer(log_path);
@@ -278,8 +287,8 @@ int main(int argc, char** argv) {
        {"block-size",
         "tiled mode: fixed nodes per block; 0 groups by switch (default 0)"},
        {"pair-sample",
-        "hierarchical: sampled pairs per group pair; 0 = exact tile "
-        "aggregation (default 4)"},
+        "--policy hierarchical: sampled pairs per group pair; 0 = exact "
+        "tile aggregation (default 4)"},
        {"two-phase-min-nodes",
         "tiled mode: prune blocks only at or above this many usable nodes; "
         "0 always prunes (default 0)"},
@@ -491,20 +500,27 @@ int main(int argc, char** argv) {
   if (parser.has("beta")) alpha = 1.0 - parser.get_double("beta", 0.7);
   request.job = core::JobWeights{alpha, 1.0 - alpha};
 
+  // Hierarchical options, read by both --policy hierarchical (the classic
+  // allocator) and --allocator hierarchical (the epoch serving path).
+  core::HierarchicalOptions hier_options;
+  hier_options.pair_sample =
+      static_cast<int>(parser.get_long("pair-sample", 4));
+  hier_options.two_phase_min_nodes = static_cast<std::size_t>(
+      parser.get_long("two-phase-min-nodes", 0));
+  hier_options.block_size =
+      static_cast<std::size_t>(parser.get_long("block-size", 0));
+  try {
+    hier_options.validate();
+  } catch (const util::CheckError& error) {
+    std::cerr << "bad hierarchical options: " << error.what() << "\n";
+    return 1;
+  }
+
   // Pick the policy.
   const std::string policy_name =
       parser.get_string("policy", "network-load-aware");
-  core::NetworkLoadAwareAllocator ours;
-  core::HierarchicalAllocator hierarchical;
-  core::LoadAwareAllocator load_aware;
-  core::SequentialAllocator sequential(options.seed);
-  core::RandomAllocator random(options.seed);
-  core::Allocator* allocator = nullptr;
-  if (policy_name == "network-load-aware") allocator = &ours;
-  else if (policy_name == "hierarchical") allocator = &hierarchical;
-  else if (policy_name == "load-aware") allocator = &load_aware;
-  else if (policy_name == "sequential") allocator = &sequential;
-  else if (policy_name == "random") allocator = &random;
+  const std::unique_ptr<core::Allocator> allocator =
+      make_policy_allocator(policy_name, options.seed, hier_options);
   if (allocator == nullptr) {
     std::cerr << "unknown --policy '" << policy_name << "'\n";
     return 1;
@@ -529,21 +545,8 @@ int main(int argc, char** argv) {
   // builder and routes decide() through allocate_two_phase.
   const std::string allocator_mode = parser.get_string("allocator", "flat");
   if (allocator_mode == "hierarchical") {
-    core::HierarchicalOptions hier_options;
-    hier_options.pair_sample =
-        static_cast<int>(parser.get_long("pair-sample", 4));
-    hier_options.two_phase_min_nodes = static_cast<std::size_t>(
-        parser.get_long("two-phase-min-nodes", 0));
-    hier_options.block_size =
-        static_cast<std::size_t>(parser.get_long("block-size", 0));
     core::TilingOptions tiling;
     tiling.block_size = hier_options.block_size;
-    try {
-      hier_options.validate();
-    } catch (const util::CheckError& error) {
-      std::cerr << "bad hierarchical options: " << error.what() << "\n";
-      return 1;
-    }
     broker.set_hierarchy(hier_options, tiling);
   } else if (allocator_mode != "flat") {
     std::cerr << "unknown --allocator '" << allocator_mode << "'\n";
@@ -751,7 +754,7 @@ int main(int argc, char** argv) {
     harness.arm();
     const int code = run_failover_drill(
         sim, drill_monitor, harness, &kill_pending, policy_name, options.seed,
-        broker_policy, request, delta_log_path,
+        hier_options, broker_policy, request, delta_log_path,
         parser.get_double("chaos-seconds", 150.0),
         parser.get_double("promote-after", 15.0), max_epoch_age,
         refresh_threads, *telemetry_now);
@@ -997,7 +1000,8 @@ int main(int argc, char** argv) {
     std::cerr << "\n"
               << core::explain_allocation(
                      snapshot, request, decision.allocation,
-                     policy_name == "network-load-aware" ? &ours : nullptr);
+                     dynamic_cast<const core::NetworkLoadAwareAllocator*>(
+                         allocator.get()));
   }
   if (parser.get_bool("topology-conf")) {
     if (!snapshot_path.empty()) {
