@@ -216,6 +216,8 @@ int ResourceBroker::ingest_delta_log(monitor::DeltaLogReader& log,
   const int frames = log.poll();
   if (frames == 0) return 0;
   const monitor::SnapshotDelta delta = log.drain_delta();
+  // The copy shares the reader's pair matrices; the reader's next pair
+  // frame clones only the matrices it writes.
   auto snapshot =
       std::make_shared<const monitor::ClusterSnapshot>(log.snapshot());
   refresh_epoch(std::move(snapshot), delta, profile);
@@ -263,7 +265,8 @@ bool ResourceBroker::refresh_epoch(
       << "degraded refresh without set_degradation()";
   std::lock_guard<std::mutex> lock(builder_mutex_);
   if (!degrader_.has_value()) degrader_.emplace(*degradation_);
-  DegradationOutcome out = degrader_->apply(std::move(snapshot), staleness);
+  DegradationOutcome out =
+      degrader_->apply(std::move(snapshot), delta, staleness);
   PreparedBuilder& builder = ensure_builder(profile);
   bool incremental = false;
   if (out.quarantine_changed) {
@@ -275,12 +278,15 @@ bool ResourceBroker::refresh_epoch(
   } else {
     // Pairs can cross the staleness budget without any store write, so
     // their fallback rewrite is invisible to the delta's dirty set; patch
-    // them alongside. patch_pair is idempotent (subtract-old/add-new), so
-    // overlap with the delta's own dirty pairs is harmless.
+    // them alongside. A patch subtracts the pair's old terms and adds its
+    // new ones, so a pair listed twice would count its change twice: a
+    // re-probed pair leaving the fallback is both dirty and flipped, hence
+    // the normalize (sort + dedupe).
     monitor::SnapshotDelta merged = delta;
     merged.dirty_pairs.insert(merged.dirty_pairs.end(),
                               out.changed_pairs.begin(),
                               out.changed_pairs.end());
+    merged.normalize();
     incremental = builder.update(std::move(out.snapshot), merged);
   }
   auto built = builder.build();

@@ -91,9 +91,11 @@ class ResourceBroker {
   /// reader and, when frames arrived, applies their coalesced delta as one
   /// epoch refresh — incremental O(dirty) whenever the frames chain onto
   /// the current prepared state (full/compaction frames rebuild). The
-  /// file-tailing analog of the assemble() + drain_delta() live loop.
-  /// Returns the number of frames ingested (0 = nothing new, no epoch
-  /// published).
+  /// file-tailing analog of the assemble() + drain_delta() live loop: the
+  /// published snapshot is an O(V) copy of the reader's state that shares
+  /// its pair matrices, and the reader's next pair frame clones only the
+  /// matrices it writes. Returns the number of frames ingested (0 =
+  /// nothing new, no epoch published).
   int ingest_delta_log(monitor::DeltaLogReader& log,
                        const RequestProfile& profile);
 
@@ -113,7 +115,9 @@ class ResourceBroker {
       std::shared_ptr<const monitor::ClusterSnapshot> snapshot,
       const monitor::StalenessView& staleness, const RequestProfile& profile);
 
-  /// Degraded delta refresh. Pairs whose fallback state flipped without a
+  /// Degraded delta refresh. The Degrader chains on the same delta, so it
+  /// re-derives only the dirty pairs and the pairs that aged past the
+  /// budget (core/degrade.h). Pairs whose fallback state flipped without a
   /// store write are patched alongside the delta's dirty pairs; a
   /// quarantine-membership change forces a full rebuild (the usable set's
   /// shape moved). Returns true when applied incrementally.

@@ -4,7 +4,7 @@
 // The paper's monitor keeps serving whatever NFS holds; nothing downstream
 // reacts to how old that data is. This layer closes the gap on the
 // allocator side: before a snapshot becomes a prepared epoch, the Degrader
-// rewrites a copy of it according to per-record staleness —
+// rewrites it according to per-record staleness —
 //
 //   * nodes whose NodeStateD record exceeds the staleness budget are
 //     quarantined out of the usable set (livehosts forced false), with
@@ -14,6 +14,19 @@
 //     running mean with a pessimism penalty (stale data is trusted less);
 //   * everything fresh passes through bit-identically.
 //
+// The rewrite is a snapshot copy that shares the input's pair matrices
+// (util::FlatMatrix is copy-on-write) and clones only the two it rewrites,
+// latency_us and bandwidth_mbps, when some pair is on the fallback.
+//
+// Finding the pairs that crossed the budget does not scan all V² pairs on
+// every refresh. Every pair ages at the same rate, so measured pairs cross
+// the budget in the order of their last write time. The Degrader keeps its
+// fresh pairs in a queue ordered by that time: a delta refresh re-derives
+// the delta's dirty pairs from their new write times and pops the queue
+// front that aged past the budget — O(V + dirty + crossings). Whenever the
+// delta does not chain onto the previous refresh, it walks every pair and
+// rebuilds the queue.
+//
 // Both the fast path and the reference allocator consume the SAME degraded
 // snapshot, so the bit-identity equivalence contract survives degradation
 // untouched. The Degrader is stateful (hysteresis, change tracking) and
@@ -22,12 +35,15 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "cluster/node.h"
 #include "monitor/snapshot.h"
+#include "monitor/snapshot_delta.h"
 #include "monitor/store.h"
 
 namespace nlarm::core {
@@ -58,7 +74,8 @@ struct DegradationPolicy {
 };
 
 /// One apply() call's result. `snapshot` is the input pointer when nothing
-/// needed rewriting, else a rewritten copy.
+/// needed rewriting, else a rewritten copy (sharing the input's unrewritten
+/// pair matrices).
 struct DegradationOutcome {
   std::shared_ptr<const monitor::ClusterSnapshot> snapshot;
   bool degraded = false;          ///< anything was rewritten
@@ -83,16 +100,45 @@ class Degrader {
 
   const DegradationPolicy& policy() const { return policy_; }
 
-  /// Applies the policy to one snapshot given the store's staleness view.
-  /// Hysteresis state carries across calls; a node-count change resets it.
+  /// Applies the policy to one snapshot given the store's staleness view,
+  /// walking every pair. Hysteresis state carries across calls; a
+  /// node-count change resets it.
   DegradationOutcome apply(
       std::shared_ptr<const monitor::ClusterSnapshot> snapshot,
+      const monitor::StalenessView& staleness);
+
+  /// Same result, in O(V + dirty + crossings) when `delta` chains onto the
+  /// previous apply(): its base_version is the last applied version, it is
+  /// not `full`, the node count is unchanged and the view's clock has not
+  /// stepped back. `delta` and `staleness` must describe the same store
+  /// state; any other delta falls back to the full walk.
+  DegradationOutcome apply(
+      std::shared_ptr<const monitor::ClusterSnapshot> snapshot,
+      const monitor::SnapshotDelta& delta,
       const monitor::StalenessView& staleness);
 
   std::size_t quarantined_count() const { return quarantined_count_; }
 
  private:
+  using Pair = std::pair<cluster::NodeId, cluster::NodeId>;
+
+  DegradationOutcome degrade(
+      std::shared_ptr<const monitor::ClusterSnapshot> snapshot,
+      const monitor::SnapshotDelta* delta,
+      const monitor::StalenessView& staleness);
   void reset(std::size_t n);
+  /// Full pass: re-derives every pair and rebuilds the expiry queue.
+  void walk_pairs(const monitor::StalenessView& staleness,
+                  DegradationOutcome& outcome);
+  /// Chained pass: re-derives the dirty pairs, then expires the queue front.
+  void expire_pairs(const monitor::SnapshotDelta& delta,
+                    const monitor::StalenessView& staleness,
+                    DegradationOutcome& outcome);
+  /// Sets pair (u < v)'s fallback state from its last write time `time`,
+  /// recording a flip; a measured pair that stays fresh is queued at `time`.
+  void settle_pair(std::size_t u, std::size_t v, double time, double now,
+                   DegradationOutcome& outcome);
+  bool pair_stale(double time, double now) const;
 
   DegradationPolicy policy_;
   std::size_t n_ = 0;
@@ -104,6 +150,16 @@ class Degrader {
   std::size_t quarantined_count_ = 0;
   std::size_t block_overlay_count_ = 0;
   std::size_t pair_fallback_count_ = 0;
+
+  /// Measured pairs not on the fallback, bucketed by last write time (a
+  /// probe round shares one timestamp). A rewritten pair leaves its old
+  /// entry behind; expiry skips entries whose time is no longer the pair's
+  /// write time. Entries leave once they age past the budget, so the queue
+  /// holds the fresh pairs plus the rewrites of the last budget seconds.
+  std::map<double, std::vector<Pair>> expiry_;
+  bool applied_ = false;              ///< expiry_ matches the last apply()
+  std::uint64_t applied_version_ = 0;  ///< store version of the last apply()
+  double applied_now_ = 0.0;           ///< view clock of the last apply()
 };
 
 }  // namespace nlarm::core

@@ -234,6 +234,7 @@ Allocation allocate_two_phase(const PreparedSnapshot& prepared,
   const std::size_t tiles_before = tiled.tiles_materialized();
   const std::size_t hits_before = tiled.tile_cache_hits();
   util::FlatMatrix pool_nl(w, 0.0);
+  double* const pool_values = pool_nl.data();
   for (std::size_t x = 0; x < chosen.size(); ++x) {
     for (std::size_t y = x; y < chosen.size(); ++y) {
       const std::size_t a = chosen[x];
@@ -246,8 +247,8 @@ Allocation allocate_two_phase(const PreparedSnapshot& prepared,
         for (std::size_t c = 0; c < cols.size(); ++c) {
           const auto pcol = static_cast<std::size_t>(pos_in_pool[cols[c]]);
           const double value = tile[r * cols.size() + c];
-          pool_nl[pr][pcol] = value;
-          pool_nl[pcol][pr] = value;
+          pool_values[pr * w + pcol] = value;
+          pool_values[pcol * w + pr] = value;
         }
       }
     }

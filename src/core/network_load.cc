@@ -107,12 +107,13 @@ void network_loads_into(const monitor::ClusterSnapshot& snapshot,
   const std::vector<double> complement_norm = normalize_by_sum(complement);
 
   k = 0;
+  double* const values = out.data();
   for (std::size_t i = 0; i < count; ++i) {
     for (std::size_t j = i + 1; j < count; ++j, ++k) {
       const double value = weights.latency * latency_norm[k] +
                            weights.bandwidth * complement_norm[k];
-      out[i][j] = value;
-      out[j][i] = value;
+      values[i * count + j] = value;
+      values[j * count + i] = value;
     }
   }
 }

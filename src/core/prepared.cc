@@ -401,14 +401,15 @@ void TiledNlState::materialize_dense(const PairSource& source,
                                      util::ThreadPool* pool) const {
   NLARM_CHECK(nodes.size() == n_) << "working-set size changed";
   out.assign(n_, 0.0);
+  double* const values = out.data();
   const auto fill_rows = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       for (std::size_t j = i + 1; j < n_; ++j) {
         const PairSource::Raw raw = source.read(nodes[i], nodes[j]);
         const double value =
             nl_value_from_raw(raw.lat, raw.comp, scalars_, weights_);
-        out[i][j] = value;
-        out[j][i] = value;
+        values[i * n_ + j] = value;
+        values[j * n_ + i] = value;
       }
     }
   };

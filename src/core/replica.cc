@@ -64,6 +64,7 @@ int FollowerBroker::poll_once(double now) {
     frames = reader_.poll();
     if (frames > 0) {
       const monitor::SnapshotDelta delta = reader_.drain_delta();
+      // Shares the reader's pair matrices; see ingest_delta_log.
       auto snapshot =
           std::make_shared<const monitor::ClusterSnapshot>(reader_.snapshot());
       mirror_apply(*snapshot, delta);

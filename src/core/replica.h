@@ -9,6 +9,9 @@
 // ResourceBroker, so any number of follower processes serve decide() /
 // decide_batch() through the same lock-free epoch-pin path the leader
 // uses, scaling the read side horizontally without touching the leader.
+// Each published epoch's snapshot is an O(V) copy of the reader's state
+// that shares its pair matrices (util::FlatMatrix is copy-on-write), so a
+// node-only poll copies no V×V matrix.
 //
 // Replication-specific semantics on top of the plain broker:
 //
@@ -22,8 +25,9 @@
 //     replication stream stalls.
 //   * Degradation parity. With set_degradation(), the follower maintains a
 //     mirror MonitorStore rebuilt from the replicated frames and feeds its
-//     staleness view through the same Degrader pipeline as the leader, so
-//     quarantine and stale-pair fallback decisions replicate too. Node
+//     O(V) staleness view and the frames' delta through the same Degrader
+//     pipeline as the leader, so quarantine and stale-pair fallback
+//     decisions replicate too. Node
 //     record ages reconstruct exactly (records carry their sample time);
 //     pair write times are approximated by the frame's snapshot time, so
 //     leader/follower staleness agrees whenever pair writes land in the

@@ -123,18 +123,23 @@ void MonitorStore::restore(const ClusterSnapshot& snapshot) {
   }
   // The snapshot carries no per-pair write times; credit measured pairs
   // with the assembly time (the freshest defensible claim) and leave
-  // never-measured pairs at the "never written" sentinel.
+  // never-measured pairs at the "never written" sentinel. The scan reads
+  // through a const reference: net_ shares the snapshot's matrices, and a
+  // non-const read would clone them.
+  const NetSnapshot& net = net_;
   const auto n = static_cast<std::size_t>(node_count_);
   latency_time_.assign(n, -1.0);
   bandwidth_time_.assign(n, -1.0);
+  double* latency_time = latency_time_.data();
+  double* bandwidth_time = bandwidth_time_.data();
   for (std::size_t u = 0; u < n; ++u) {
     for (std::size_t v = 0; v < n; ++v) {
       if (u == v) continue;
-      if (net_.latency_us[u][v] >= 0.0) {
-        latency_time_[u][v] = snapshot.time;
+      if (net.latency_us[u][v] >= 0.0) {
+        latency_time[u * n + v] = snapshot.time;
       }
-      if (net_.bandwidth_mbps[u][v] >= 0.0) {
-        bandwidth_time_[u][v] = snapshot.time;
+      if (net.bandwidth_mbps[u][v] >= 0.0) {
+        bandwidth_time[u * n + v] = snapshot.time;
       }
     }
   }
@@ -186,18 +191,8 @@ StalenessView MonitorStore::staleness_view(double now) const {
     const NodeSnapshot& record = node_records_[i];
     view.node[i] = record.valid ? now - record.sample_time : kInf;
   }
-  view.pair.assign(n, kInf);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (std::size_t v = 0; v < n; ++v) {
-      if (u == v) {
-        view.pair[u][v] = 0.0;
-        continue;
-      }
-      const double last =
-          std::max(latency_time_[u][v], bandwidth_time_[u][v]);
-      if (last >= 0.0) view.pair[u][v] = now - last;
-    }
-  }
+  view.latency_time = latency_time_;
+  view.bandwidth_time = bandwidth_time_;
   return view;
 }
 

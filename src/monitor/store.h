@@ -6,8 +6,9 @@
 // same way an NFS reader would (mtime).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <optional>
+#include <limits>
 #include <vector>
 
 #include "cluster/node.h"
@@ -17,13 +18,33 @@
 namespace nlarm::monitor {
 
 /// Point-in-time staleness of every record in a store, for degradation
-/// consumers (core/degrade.h). Entries are seconds since the record's last
-/// refresh, +inf for never-written records.
+/// consumers (core/degrade.h). Node ages are materialized (O(V)); pair ages
+/// are computed on demand from the store's pair write-time matrices, which
+/// the view shares copy-on-write rather than copies, so taking a view costs
+/// O(V).
 struct StalenessView {
   double now = 0.0;
-  std::vector<double> node;  ///< per-node record age
-  util::FlatMatrix pair;     ///< per ordered pair (u,v): age of the freshest
-                             ///< latency/bandwidth entry for that direction
+  /// Per-node record age in seconds, +inf for never-written records.
+  std::vector<double> node;
+  /// Per ordered pair (u, v): time of the last latency / bandwidth write
+  /// for that direction, < 0 when never written.
+  util::FlatMatrix latency_time;
+  util::FlatMatrix bandwidth_time;
+
+  /// The ordered pair's freshest write: the later of its latency and
+  /// bandwidth write times (< 0 when neither was ever written).
+  double pair_time(std::size_t u, std::size_t v) const {
+    return std::max(latency_time[u][v], bandwidth_time[u][v]);
+  }
+
+  /// Seconds since the ordered pair's freshest latency/bandwidth write:
+  /// now − pair_time, +inf when never written, 0 on the diagonal (a
+  /// self-measurement never goes stale).
+  double pair_age(std::size_t u, std::size_t v) const {
+    if (u == v) return 0.0;
+    const double last = pair_time(u, v);
+    return last < 0.0 ? std::numeric_limits<double>::infinity() : now - last;
+  }
 };
 
 class MonitorStore {
@@ -50,7 +71,9 @@ class MonitorStore {
 
   /// Assembles the allocator-facing snapshot from the current records. The
   /// snapshot carries this store's change version, so consumers can tell
-  /// "same data as last time" apart from "new data" without diffing.
+  /// "same data as last time" apart from "new data" without diffing. It
+  /// shares the store's four pair matrices copy-on-write, so assembling
+  /// costs O(V); the next pair write clones only the matrices it writes.
   ClusterSnapshot assemble(double now) const;
 
   /// Hydrates every record from a persisted snapshot — the warm-start path
@@ -82,8 +105,9 @@ class MonitorStore {
   double pair_staleness(double now, cluster::NodeId u,
                         cluster::NodeId v) const;
 
-  /// Materializes node_staleness/pair_staleness for every record at once —
-  /// the per-refresh input of the degradation layer. O(V²).
+  /// node_staleness/pair_staleness for every record at once — the
+  /// per-refresh input of the degradation layer. O(V): node ages are
+  /// computed, and the pair write-time matrices are shared with the view.
   StalenessView staleness_view(double now) const;
 
  private:

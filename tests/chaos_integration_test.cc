@@ -154,8 +154,9 @@ TEST(ChaosIntegrationTest, PoisonedEpochFallsBackToLastGood) {
   auto good = std::make_shared<const monitor::ClusterSnapshot>(
       testing::make_snapshot(testing::idle_nodes(static_cast<int>(n))));
   monitor::StalenessView fresh;
+  fresh.now = 1.0;
   fresh.node.assign(n, 1.0);
-  fresh.pair.assign(n, 1.0);
+  testing::set_pair_ages(fresh, util::FlatMatrix(n, 1.0));
   broker.refresh_epoch(good, fresh, profile);
   core::EpochPin pin = broker.pin_epoch();
   const core::BrokerDecision healthy = broker.decide(pin, request);
@@ -166,8 +167,9 @@ TEST(ChaosIntegrationTest, PoisonedEpochFallsBackToLastGood) {
   auto poisoned_snap = std::make_shared<monitor::ClusterSnapshot>(*good);
   poisoned_snap->time = good->time + 60.0;
   monitor::StalenessView stale;
+  stale.now = 1.0;
   stale.node.assign(n, 1000.0);
-  stale.pair.assign(n, 1.0);
+  testing::set_pair_ages(stale, util::FlatMatrix(n, 1.0));
   broker.refresh_epoch(poisoned_snap, stale, profile);
   broker.refresh_pin(pin);
   ASSERT_TRUE(pin.prepared->usable.empty());

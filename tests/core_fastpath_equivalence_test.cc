@@ -30,6 +30,7 @@
 #include "monitor/snapshot.h"
 #include "sim/rng.h"
 #include "util/thread_pool.h"
+#include "test_helpers.h"
 
 namespace nlarm::core {
 namespace {
@@ -283,20 +284,21 @@ TEST(FastPathEquivalenceTest, DegradedAndQuarantinedInputsStayEquivalent) {
     monitor::StalenessView view;
     view.now = 1000.0;
     view.node.assign(static_cast<std::size_t>(v), 1.0);
-    view.pair.assign(static_cast<std::size_t>(v), 1.0);
+    util::FlatMatrix pair_age(static_cast<std::size_t>(v), 1.0);
     for (int i = 0; i < v; ++i) {
       if (rng.chance(0.2)) view.node[static_cast<std::size_t>(i)] = 100.0;
     }
     for (int u = 0; u < v; ++u) {
       for (int w = u + 1; w < v; ++w) {
         if (rng.chance(0.15)) {
-          view.pair[static_cast<std::size_t>(u)][static_cast<std::size_t>(
+          pair_age[static_cast<std::size_t>(u)][static_cast<std::size_t>(
               w)] = 700.0;
-          view.pair[static_cast<std::size_t>(w)][static_cast<std::size_t>(
+          pair_age[static_cast<std::size_t>(w)][static_cast<std::size_t>(
               u)] = 700.0;
         }
       }
     }
+    testing::set_pair_ages(view, pair_age);
 
     Degrader degrader(DegradationPolicy{});
     const DegradationOutcome out = degrader.apply(snapshot, view);
@@ -380,7 +382,7 @@ TEST(FastPathEquivalenceTest, TwoPhaseCoveringUnderDegradation) {
   monitor::StalenessView view;
   view.now = 1000.0;
   view.node.assign(static_cast<std::size_t>(v), 1.0);
-  view.pair.assign(static_cast<std::size_t>(v), 1.0);
+  util::FlatMatrix pair_age(static_cast<std::size_t>(v), 1.0);
   // Switch 0 (nodes 0..7): six of eight nodes stale.
   for (int i = 0; i < 6; ++i) view.node[static_cast<std::size_t>(i)] = 100.0;
   // A few stale pairs elsewhere.
@@ -388,13 +390,14 @@ TEST(FastPathEquivalenceTest, TwoPhaseCoveringUnderDegradation) {
   for (int u = 8; u < v; ++u) {
     for (int w = u + 1; w < v; ++w) {
       if (rng.chance(0.1)) {
-        view.pair[static_cast<std::size_t>(u)][static_cast<std::size_t>(w)] =
+        pair_age[static_cast<std::size_t>(u)][static_cast<std::size_t>(w)] =
             700.0;
-        view.pair[static_cast<std::size_t>(w)][static_cast<std::size_t>(u)] =
+        pair_age[static_cast<std::size_t>(w)][static_cast<std::size_t>(u)] =
             700.0;
       }
     }
   }
+  testing::set_pair_ages(view, pair_age);
 
   DegradationPolicy policy;
   policy.block_quarantine_fraction = 0.5;
@@ -568,7 +571,7 @@ TEST(ParallelRefreshEquivalenceTest, DegradedSnapshotsStayBitIdentical) {
   monitor::StalenessView view;
   view.now = 1000.0;
   view.node.assign(static_cast<std::size_t>(v), 1.0);
-  view.pair.assign(static_cast<std::size_t>(v), 1.0);
+  util::FlatMatrix pair_age(static_cast<std::size_t>(v), 1.0);
   sim::Rng rng(0xabcdef);
   for (int i = 0; i < v; ++i) {
     if (rng.chance(0.2)) view.node[static_cast<std::size_t>(i)] = 100.0;
@@ -576,13 +579,14 @@ TEST(ParallelRefreshEquivalenceTest, DegradedSnapshotsStayBitIdentical) {
   for (int u = 0; u < v; ++u) {
     for (int w = u + 1; w < v; ++w) {
       if (rng.chance(0.15)) {
-        view.pair[static_cast<std::size_t>(u)][static_cast<std::size_t>(w)] =
+        pair_age[static_cast<std::size_t>(u)][static_cast<std::size_t>(w)] =
             700.0;
-        view.pair[static_cast<std::size_t>(w)][static_cast<std::size_t>(u)] =
+        pair_age[static_cast<std::size_t>(w)][static_cast<std::size_t>(u)] =
             700.0;
       }
     }
   }
+  testing::set_pair_ages(view, pair_age);
   Degrader degrader(DegradationPolicy{});
   const DegradationOutcome out = degrader.apply(snapshot, view);
   ASSERT_TRUE(out.degraded);

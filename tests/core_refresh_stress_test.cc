@@ -15,7 +15,9 @@
 
 #include "core/allocator.h"
 #include "core/broker.h"
+#include "core/degrade.h"
 #include "core/epoch.h"
+#include "core/hierarchical.h"
 #include "core/replica.h"
 #include "monitor/delta_log.h"
 #include "monitor/store.h"
@@ -303,6 +305,114 @@ TEST(RefreshStressTest, FollowerTailDecodeAheadUnderLoad) {
   EXPECT_EQ(expect.action, got.action);
   EXPECT_EQ(expect.allocation.nodes, got.allocation.nodes);
   EXPECT_EQ(expect.allocation.total_cost, got.allocation.total_cost);
+}
+
+// Copy-on-write pair matrices under load: the store thread writes pairs and
+// assembles, so every pair write detaches the matrices that the published
+// epochs still share, while decider threads hold pinned epochs and read
+// them. One broker is tiled with no dense NL matrix, so its two-phase
+// decide reads raw pair terms lazily through SnapshotPairSource; the other
+// degrades (its rewrite detaches two matrices of its own copy). A follower
+// tails the log and detaches its reader's state on every pair frame.
+TEST(RefreshStressTest, SharedPairMatricesDetachUnderPinnedDeciders) {
+  constexpr int kNodes = 12;
+  constexpr int kTicks = 40;
+  const std::string path = log_path("refresh_stress_cow");
+
+  auto store = seeded_store(kNodes);
+  const AllocationRequest request = request_for();
+  const RequestProfile profile = RequestProfile::of(request);
+
+  NetworkLoadAwareAllocator flat_allocator;
+  ResourceBroker flat(flat_allocator);
+  DegradationPolicy degradation;
+  degradation.pair_staleness_budget_s = 5.0;  // churned-out pairs fall back
+  degradation.max_epoch_age_s = 1e6;
+  flat.set_degradation(degradation);
+
+  NetworkLoadAwareAllocator tiled_allocator;
+  ResourceBroker tiled(tiled_allocator);
+  HierarchicalOptions hierarchy;
+  TilingOptions tiling;
+  tiling.dense_nl_limit = 0;  // decides read pairs through the snapshot
+  tiled.set_hierarchy(hierarchy, tiling);
+
+  monitor::DeltaLogWriter writer(path);
+  const auto publish = [&](double now) {
+    auto snapshot = std::make_shared<const monitor::ClusterSnapshot>(
+        store->assemble(now));
+    const monitor::SnapshotDelta delta = store->drain_delta();
+    EXPECT_TRUE(writer.append(*snapshot, delta));
+    flat.refresh_epoch(snapshot, delta, store->staleness_view(now), profile);
+    tiled.refresh_epoch(snapshot, delta, profile);
+  };
+  publish(1.0);
+
+  NetworkLoadAwareAllocator follower_allocator;
+  ReplicaOptions options;
+  options.max_epoch_age_s = 0.0;
+  options.poll_interval_s = 0.001;
+  FollowerBroker follower(follower_allocator, path, profile, options);
+  std::atomic<double> clock{1.0};
+  follower.start([&clock] { return clock.load(std::memory_order_relaxed); });
+
+  std::atomic<bool> stop{false};
+  std::atomic<long> decides{0};
+  std::vector<std::thread> deciders;
+  for (ResourceBroker* broker : {&flat, &tiled}) {
+    deciders.emplace_back([broker, &request, &stop, &decides] {
+      EpochPin pin = broker->pin_epoch();
+      while (!stop.load(std::memory_order_relaxed)) {
+        broker->refresh_pin(pin);
+        const BrokerDecision decision = broker->decide(pin, request);
+        ASSERT_EQ(decision.action, BrokerDecision::Action::kAllocate);
+        decides.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  deciders.emplace_back([&follower, &request, &clock, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      (void)follower.decide(request, clock.load(std::memory_order_relaxed));
+    }
+  });
+
+  sim::Rng rng(31);
+  double now = 1.0;
+  for (int tick = 0; tick < kTicks; ++tick) {
+    now += 1.0;
+    churn(*store, rng, kNodes, now);
+    if (tick % 3 != 0) {
+      const int u = static_cast<int>(rng.uniform_int(0, kNodes - 2));
+      const int v = static_cast<int>(rng.uniform_int(u + 1, kNodes - 1));
+      store->write_latency(now, v, u, rng.uniform(20.0, 200.0), 100.0);
+      store->write_bandwidth(now, v, u, rng.uniform(400.0, 940.0), 941.0);
+    }
+    publish(now);
+    clock.store(now, std::memory_order_relaxed);
+  }
+  const std::uint64_t final_version = store->snapshot_version();
+  for (int spin = 0; spin < 2000; ++spin) {
+    if (follower.have_state() &&
+        follower.status(now).state_version == final_version &&
+        decides.load(std::memory_order_relaxed) >= 2) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& thread : deciders) thread.join();
+  follower.stop();
+
+  EXPECT_EQ(follower.status(now).state_version, final_version);
+  EXPECT_GE(decides.load(), 2);
+  // Every detach left the published snapshots' values intact: the last
+  // epoch reads exactly what the store holds now.
+  const monitor::ClusterSnapshot expect = store->assemble(now);
+  EXPECT_TRUE(tiled.pin_epoch().prepared->snapshot->net.latency_us ==
+              expect.net.latency_us);
+  EXPECT_TRUE(follower.snapshot().net.bandwidth_mbps ==
+              expect.net.bandwidth_mbps);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -292,6 +292,45 @@ TEST(ReplicaTest, DegradedParityUnderQuarantineAndStalePairFallback) {
   std::remove(path.c_str());
 }
 
+TEST(ReplicaTest, NodeOnlyPollsShareTheReadersPairMatrices) {
+  // The published epoch's snapshot is a copy of the reader's replicated
+  // state; node-only frames write no pair, so the copies never detach.
+  for (const bool degraded : {false, true}) {
+    SCOPED_TRACE(degraded ? "degraded" : "plain");
+    const std::string path = log_path("replica_shared_pairs");
+    auto store = seeded_store(6);
+    monitor::DeltaLogWriter writer(path);
+    NetworkLoadAwareAllocator alloc;
+    FollowerBroker follower(alloc, path, RequestProfile::of(request_for()));
+    if (degraded) follower.set_degradation(DegradationPolicy{});
+
+    double now = 10.0;
+    std::vector<std::shared_ptr<const monitor::ClusterSnapshot>> published;
+    for (int tick = 0; tick < 3; ++tick) {
+      if (tick > 0) {
+        now += 3.0;
+        monitor::NodeSnapshot record = store->node_record(tick);
+        record.cpu_load += 0.5;
+        store->write_node_record(now, record);
+      }
+      const monitor::ClusterSnapshot snapshot = store->assemble(now);
+      ASSERT_TRUE(writer.append(snapshot, store->drain_delta()));
+      ASSERT_EQ(follower.poll_once(now), 1);
+      published.push_back(follower.broker().pin_epoch().prepared->snapshot);
+    }
+    const monitor::NetSnapshot& reader = follower.snapshot().net;
+    for (int tick = 1; tick < 3; ++tick) {
+      const monitor::NetSnapshot& net =
+          published[static_cast<std::size_t>(tick)]->net;
+      EXPECT_EQ(net.latency_us.data(), reader.latency_us.data());
+      EXPECT_EQ(net.latency_5min_us.data(), reader.latency_5min_us.data());
+      EXPECT_EQ(net.bandwidth_mbps.data(), reader.bandwidth_mbps.data());
+      EXPECT_EQ(net.peak_mbps.data(), reader.peak_mbps.data());
+    }
+    std::remove(path.c_str());
+  }
+}
+
 TEST(ReplicaTest, FencesDecidesOnceReplicationLagExceedsTheBound) {
   const std::string path = log_path("replica_fence");
   auto store = seeded_store(4);

@@ -17,6 +17,7 @@
 #include "monitor/store.h"
 #include "sim/rng.h"
 #include "util/tiled_matrix.h"
+#include "test_helpers.h"
 
 namespace nlarm::core {
 namespace {
@@ -345,7 +346,8 @@ TEST(TiledBrokerTest, TiledServingMatchesFlatUnderBlockQuarantine) {
   monitor::StalenessView view;
   view.now = 1000.0;
   view.node.assign(static_cast<std::size_t>(v), 1.0);
-  view.pair.assign(static_cast<std::size_t>(v), 1.0);
+  testing::set_pair_ages(view,
+                         util::FlatMatrix(static_cast<std::size_t>(v), 1.0));
 
   for (int round = 0; round < 3; ++round) {
     // Round 1 darkens most of switch 1 (block quarantine pulls the rest);

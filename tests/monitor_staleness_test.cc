@@ -116,9 +116,9 @@ TEST(StalenessViewTest, NeverWrittenRecordsAreInfinitelyStale) {
   EXPECT_DOUBLE_EQ(view.now, 100.0);
   ASSERT_EQ(view.node.size(), 3u);
   EXPECT_EQ(view.node[1], kInf);
-  EXPECT_EQ(view.pair[0][2], kInf);
+  EXPECT_EQ(view.pair_age(0, 2), kInf);
   // The diagonal is a self-measurement that never goes stale.
-  EXPECT_DOUBLE_EQ(view.pair[1][1], 0.0);
+  EXPECT_DOUBLE_EQ(view.pair_age(1, 1), 0.0);
 }
 
 TEST(StalenessViewTest, AgesTrackLastWriteAndRefreshOnRewrite) {
@@ -148,8 +148,8 @@ TEST(StalenessViewTest, AgesTrackLastWriteAndRefreshOnRewrite) {
 
   const StalenessView view = store.staleness_view(80.0);
   EXPECT_DOUBLE_EQ(view.node[1], 5.0);
-  EXPECT_DOUBLE_EQ(view.pair[0][1], 2.0);
-  EXPECT_DOUBLE_EQ(view.pair[1][0], 10.0);
+  EXPECT_DOUBLE_EQ(view.pair_age(0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(view.pair_age(1, 0), 10.0);
 }
 
 TEST(StalenessViewTest, ReadingStalenessDoesNotDisturbDeltaTracking) {

@@ -92,6 +92,43 @@ TEST(MonitorStoreTest, OutOfRangeNodesRejected) {
                util::CheckError);
 }
 
+// Snapshots share the store's pair matrices copy-on-write: observed through
+// const data() pointers (a non-const read would itself detach).
+TEST(MonitorStoreTest, NodeOnlyAssemblesShareEveryPairMatrix) {
+  MonitorStore store(3);
+  store.write_latency(1.0, 0, 1, 100.0, 110.0);
+  store.write_bandwidth(1.0, 0, 1, 900.0, 1000.0);
+  const ClusterSnapshot first = store.assemble(2.0);
+  store.write_node_record(3.0, make_record(2));
+  const ClusterSnapshot second = store.assemble(3.0);
+  EXPECT_EQ(first.net.latency_us.data(), second.net.latency_us.data());
+  EXPECT_EQ(first.net.latency_5min_us.data(),
+            second.net.latency_5min_us.data());
+  EXPECT_EQ(first.net.bandwidth_mbps.data(),
+            second.net.bandwidth_mbps.data());
+  EXPECT_EQ(first.net.peak_mbps.data(), second.net.peak_mbps.data());
+}
+
+TEST(MonitorStoreTest, LatencyWriteDetachesOnlyTheLatencyMatrices) {
+  MonitorStore store(3);
+  store.write_latency(1.0, 0, 1, 100.0, 110.0);
+  store.write_bandwidth(1.0, 0, 1, 900.0, 1000.0);
+  const ClusterSnapshot first = store.assemble(2.0);
+  store.write_latency(3.0, 0, 1, 50.0, 60.0);
+  const ClusterSnapshot second = store.assemble(3.0);
+  EXPECT_NE(first.net.latency_us.data(), second.net.latency_us.data());
+  EXPECT_NE(first.net.latency_5min_us.data(),
+            second.net.latency_5min_us.data());
+  EXPECT_EQ(first.net.bandwidth_mbps.data(),
+            second.net.bandwidth_mbps.data());
+  EXPECT_EQ(first.net.peak_mbps.data(), second.net.peak_mbps.data());
+  // The earlier snapshot keeps the values it was assembled with.
+  EXPECT_DOUBLE_EQ(first.net.latency_us[0][1], 100.0);
+  EXPECT_DOUBLE_EQ(first.net.latency_5min_us[0][1], 110.0);
+  EXPECT_DOUBLE_EQ(second.net.latency_us[0][1], 50.0);
+  EXPECT_DOUBLE_EQ(second.net.latency_5min_us[0][1], 60.0);
+}
+
 TEST(SnapshotTest, GroundTruthSnapshotIsComplete) {
   cluster::Cluster c = cluster::make_uniform_cluster(4, 2);
   c.mutable_node(1).dyn.cpu_load = 3.0;

@@ -2,10 +2,12 @@
 // attribute values, and small ready-made testbeds.
 #pragma once
 
+#include <cmath>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "monitor/snapshot.h"
+#include "monitor/store.h"
 
 namespace nlarm::testing {
 
@@ -79,6 +81,25 @@ inline void set_pair(monitor::ClusterSnapshot& snap, int u, int v,
 /// A vector of n identical idle nodes.
 inline std::vector<TestNode> idle_nodes(int n) {
   return std::vector<TestNode>(static_cast<std::size_t>(n));
+}
+
+/// Sets a hand-built staleness view's pair ages: ordered pair (u, v) was
+/// last written `ages[u][v]` seconds before `view.now` (+inf: never
+/// written). The view holds write times, so this stamps the latency write
+/// time now − age and leaves bandwidth unwritten. Ages must not exceed
+/// `view.now`: a negative write time reads as never written.
+inline void set_pair_ages(monitor::StalenessView& view,
+                          const util::FlatMatrix& ages) {
+  const std::size_t n = ages.size();
+  view.latency_time.assign(n, -1.0);
+  view.bandwidth_time.assign(n, -1.0);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (std::isfinite(ages[u][v])) {
+        view.latency_time[u][v] = view.now - ages[u][v];
+      }
+    }
+  }
 }
 
 }  // namespace nlarm::testing

@@ -499,6 +499,12 @@ int main(int argc, char** argv) {
   double alpha = parser.get_double("alpha", 0.3);
   if (parser.has("beta")) alpha = 1.0 - parser.get_double("beta", 0.7);
   request.job = core::JobWeights{alpha, 1.0 - alpha};
+  try {
+    request.validate();
+  } catch (const util::CheckError& error) {
+    std::cerr << "bad request: " << error.what() << "\n";
+    return 1;
+  }
 
   // Hierarchical options, read by both --policy hierarchical (the classic
   // allocator) and --allocator hierarchical (the epoch serving path).
