@@ -115,6 +115,31 @@ void BM_CandidateGeneration(benchmark::State& state) {
 BENCHMARK(BM_CandidateGeneration)->Arg(16)->Arg(60)->Arg(128)->Arg(256)
     ->Arg(512)->Arg(1024)->Complexity();
 
+/// Serial all-starts generation at Eq. 3 capacities (ppn 0), the uneven pc
+/// that perfbench and `nlarm_broker --ppn 0` decide with. Args: V, nprocs.
+void BM_CandidateGenerationEq3(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int nprocs = static_cast<int>(state.range(1));
+  const auto snap = synthetic_snapshot(n, 42);
+  std::vector<cluster::NodeId> usable(static_cast<std::size_t>(n));
+  std::iota(usable.begin(), usable.end(), 0);
+  const auto cl =
+      core::compute_loads(snap, usable, core::ComputeLoadWeights{});
+  const auto nl =
+      core::network_loads(snap, usable, core::NetworkLoadWeights{});
+  const std::vector<int> pc = core::effective_process_counts(snap, usable, 0);
+  const core::JobWeights job{0.3, 0.7};
+  core::GenerationOptions serial;
+  serial.parallel_threshold = -1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::generate_all_candidates(cl, nl, pc, nprocs, job, serial));
+  }
+}
+BENCHMARK(BM_CandidateGenerationEq3)
+    ->ArgsProduct({{256, 2048}, {16, 128, 512}})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_ComputeLoads(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto snap = synthetic_snapshot(n, 42);

@@ -111,11 +111,6 @@ Allocation allocate_working_set(std::span<const double> cl,
   stats.generate_seconds = generate_span.stop();
   stats.candidates_generated = candidates.size();
   obs::metrics::alloc_candidates_generated().inc(candidates.size());
-  if (static_cast<std::size_t>(request.nprocs) < cl.size()) {
-    obs::metrics::alloc_topk_generations().inc();
-  } else {
-    obs::metrics::alloc_fullsort_generations().inc();
-  }
 
   obs::ScopedSpan select_span("alloc.select",
                               &obs::metrics::alloc_select_seconds());

@@ -1,7 +1,10 @@
 #include "core/candidate.h"
 
 #include <algorithm>
-#include <numeric>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "core/prepared.h"
 #include "obs/catalog.h"
@@ -11,6 +14,10 @@
 namespace nlarm::core {
 
 namespace {
+
+/// Cost buckets of the capacity-weighted select in generate_candidate. More
+/// buckets leave fewer survivors to sort and cost more per start to scan.
+constexpr std::size_t kBuckets = 256;
 
 /// Strict total order on (addition cost, index). Equivalent to the original
 /// stable_sort with an index tie-break: indices are unique, so the key is a
@@ -95,50 +102,64 @@ Candidate generate_candidate(std::size_t start, std::span<const double> cl,
   // Scratch reused across start nodes and requests (one copy per thread, so
   // the parallel fan-out needs no coordination).
   thread_local std::vector<double> addition;
+  thread_local std::vector<std::uint16_t> bucket;
   thread_local std::vector<std::size_t> order;
 
   // Addition costs A_v(u) = α·CL(u) + β·NL(v,u), vectorized over the
   // contiguous NL row (AVX2/NEON behind runtime dispatch, bit-identical to
-  // the scalar loop — see core/prepared.h). A_v(v) = 0 so the start node
-  // sorts first; the row kernel writes α·CL(v) there (the NL diagonal is
-  // zero), overwritten after.
+  // the scalar loop — see core/prepared.h). The start node's own entry is
+  // never read: it is member 0 by construction.
   addition.resize(count);
   simd::score_addition_row(job.alpha, cl, nl[start], job.beta, addition);
-  addition[start] = 0.0;
 
-  order.resize(count);
-  std::iota(order.begin(), order.end(), 0);
-  const AdditionOrder cmp{addition};
-
-  // fill_processes consumes at most `nprocs` nodes before the request is
-  // covered (each taken node contributes ≥1 process), so only the k
-  // cheapest nodes can ever be used. Partial-select them; the full sort
-  // remains only for requests that need the whole working set (where the
-  // round-robin overflow may also touch every node). Zero-capacity nodes
-  // (batch debits) are skipped by the fill without contributing, so they
-  // widen the prefix the fill may have to walk.
-  std::size_t zero_caps = 0;
+  // Cost range of the nodes the fill can take (u ≠ start, pc[u] > 0).
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
   for (std::size_t u = 0; u < count; ++u) {
-    if (pc[u] == 0) ++zero_caps;
+    NLARM_CHECK(pc[u] >= 0) << "node with negative capacity " << pc[u];
+    if (u == start || pc[u] == 0) continue;
+    lo = std::min(lo, addition[u]);
+    hi = std::max(hi, addition[u]);
   }
-  const std::size_t k =
-      std::min(count, static_cast<std::size_t>(nprocs) + zero_caps);
-  std::span<const std::size_t> prefix;
-  if (k < count) {
-    std::nth_element(order.begin(),
-                     order.begin() + static_cast<std::ptrdiff_t>(k),
-                     order.end(), cmp);
-    std::sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k),
-              cmp);
-    prefix = std::span<const std::size_t>(order.data(), k);
-  } else {
-    std::sort(order.begin(), order.end(), cmp);
-    prefix = std::span<const std::size_t>(order.data(), count);
-  }
-  NLARM_CHECK(prefix.front() == start)
-      << "start node must sort first (its addition cost is 0)";
+  double scale = hi > lo ? static_cast<double>(kBuckets - 1) / (hi - lo) : 0.0;
+  if (!std::isfinite(scale)) scale = 0.0;
 
-  FillResult fill = fill_processes(prefix, pc, nprocs);
+  // Capacity per cost bucket. b(u) never decreases as A_v(u) grows (rounded
+  // subtraction and scaling by a positive constant are monotone), so every
+  // node of the minimal covering prefix lies at or below the first bucket
+  // whose running capacity covers the request. The start node and drained
+  // nodes get the sentinel kBuckets and never survive.
+  std::array<std::int64_t, kBuckets> capacity{};
+  bucket.resize(count);
+  for (std::size_t u = 0; u < count; ++u) {
+    if (u == start || pc[u] == 0) {
+      bucket[u] = kBuckets;
+      continue;
+    }
+    const double x = (addition[u] - lo) * scale;
+    std::size_t b = 0;  // also for a NaN x
+    if (x >= static_cast<double>(kBuckets - 1)) {
+      b = kBuckets - 1;
+    } else if (x > 0.0) {
+      b = static_cast<std::size_t>(x);
+    }
+    bucket[u] = static_cast<std::uint16_t>(b);
+    capacity[b] += pc[u];
+  }
+  // Buckets [0, keep) survive: none when the start alone covers the request,
+  // all when the cluster never does (the round-robin overflow case).
+  std::int64_t covered = pc[start];
+  std::size_t keep = 0;
+  while (covered < nprocs && keep < kBuckets) covered += capacity[keep++];
+
+  // Survivors: the start node, then the rest in (cost, index) order.
+  order.assign(1, start);
+  for (std::size_t u = 0; u < count; ++u) {
+    if (bucket[u] < keep) order.push_back(u);
+  }
+  std::sort(order.begin() + 1, order.end(), AdditionOrder{addition});
+
+  FillResult fill = fill_processes(order, pc, nprocs);
   Candidate candidate;
   candidate.start_index = start;
   candidate.members = std::move(fill.members);

@@ -1,17 +1,20 @@
 // Algorithm 1: candidate sub-graph generation.
 //
 // For a start node v, every other node u is scored with the addition cost
-// A_v(u) = α·CL(u) + β·NL(v,u) (A_v(v) = 0), nodes are taken in increasing
-// cost order until the requested process count is covered, and any shortfall
-// (cluster smaller than the request) is assigned round-robin.
+// A_v(u) = α·CL(u) + β·NL(v,u); v is member 0 and the other nodes follow in
+// (addition cost, index) order until the requested process count is
+// covered, and any shortfall (cluster smaller than the request) is assigned
+// round-robin.
 //
-// Fast path: the allocator only ever consumes the first min(|V|, n) entries
-// of the sorted order (every taken node contributes at least one process),
-// so generation selects that top-k with a partial selection instead of
-// sorting all |V| nodes, falling back to the full sort only when the request
-// needs the whole cluster. The (addition cost, index) key is a strict total
-// order, so the partial selection is deterministic and reproduces the full
-// stable_sort prefix exactly.
+// Fast path: the fill only reaches the cheapest nodes whose capacity covers
+// the request, so generation sorts just those. A capacity-weighted bucket
+// select maps each positive-capacity node to one of 256 buckets spanning
+// the row's cost range, keeps the buckets up to the first whose running
+// capacity covers the request (all of them when the cluster never does),
+// and sorts the few survivors. The bucket map is monotone in the cost, so
+// the survivors contain the whole covering prefix; the (cost, index) key is
+// a strict total order, so their sort reproduces the full stable_sort
+// prefix exactly.
 #pragma once
 
 #include <span>

@@ -1,7 +1,6 @@
 #include "core/reference.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/compute_load.h"
 #include "core/normalize.h"
@@ -20,21 +19,21 @@ Candidate generate_candidate(std::size_t start, std::span<const double> cl,
   NLARM_CHECK(nl.size() == count && pc.size() == count)
       << "cl/nl/pc size mismatch";
 
-  // Addition costs A_v(u); A_v(v) = 0 so the start node sorts first.
+  // Addition costs A_v(u) of the other nodes; the start node is member 0
+  // and the rest follow in (cost, index) order.
   std::vector<double> addition(count);
   for (std::size_t u = 0; u < count; ++u) {
-    addition[u] =
-        (u == start) ? 0.0 : job.alpha * cl[u] + job.beta * nl[start][u];
+    addition[u] = job.alpha * cl[u] + job.beta * nl[start][u];
   }
 
-  std::vector<std::size_t> order(count);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
+  std::vector<std::size_t> order{start};
+  for (std::size_t u = 0; u < count; ++u) {
+    if (u != start) order.push_back(u);
+  }
+  std::stable_sort(order.begin() + 1, order.end(),
                    [&addition](std::size_t a, std::size_t b) {
                      return addition[a] < addition[b];
                    });
-  NLARM_CHECK(order.front() == start)
-      << "start node must sort first (its addition cost is 0)";
 
   FillResult fill = fill_processes(order, pc, nprocs);
   Candidate candidate;

@@ -1,7 +1,8 @@
 // Reference (pre-fast-path) implementations of Algorithms 1 + 2, retained
-// verbatim in spirit for the golden-equivalence property test: full
-// stable_sort over all |V| nodes per start, a fresh O(k²) cost walk per
-// candidate during selection, no dedup, no parallelism, no memoization.
+// verbatim in spirit for the golden-equivalence property test: the start
+// node first and a stable_sort of the other |V|−1 nodes per start, a fresh
+// O(k²) cost walk per candidate during selection, no parallelism, no
+// memoization.
 //
 // The only machinery shared with the optimized path is candidate_costs(),
 // which *defines* the raw cost of a member set (canonical ascending order);
@@ -21,8 +22,9 @@
 
 namespace nlarm::core::reference {
 
-/// Algorithm 1 for one start node: sorts ALL nodes by addition cost with a
-/// stable sort, then fills processes. Never attaches generation-time costs.
+/// Algorithm 1 for one start node: the start node first, then every other
+/// node stable-sorted by addition cost, then the process fill. Never
+/// attaches generation-time costs.
 Candidate generate_candidate(std::size_t start, std::span<const double> cl,
                              const util::FlatMatrix& nl,
                              std::span<const int> pc, int nprocs,
@@ -35,7 +37,7 @@ std::vector<Candidate> generate_all_candidates(std::span<const double> cl,
                                                int nprocs,
                                                const JobWeights& job);
 
-/// Algorithm 2 with a full cost walk per candidate (no dedup, no reuse of
+/// Algorithm 2 with a full cost walk per candidate (no reuse of
 /// generation-time costs).
 SelectionResult select_best_candidate(std::vector<Candidate> candidates,
                                       std::span<const double> cl,

@@ -1,10 +1,5 @@
 #include "core/selection.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <map>
-
-#include "obs/catalog.h"
 #include "util/check.h"
 
 namespace nlarm::core {
@@ -20,12 +15,6 @@ SelectionResult select_best_candidate(std::vector<Candidate> candidates,
   result.scored.reserve(candidates.size());
   double compute_sum = 0.0;
   double network_sum = 0.0;
-  // Cost-walk dedup for candidates that arrive without generation-time
-  // costs: raw costs depend only on the member set (canonical order), so
-  // each unique set is walked once.
-  std::map<std::vector<std::size_t>, CandidateCosts> by_member_set;
-  std::uint64_t cost_walks = 0;
-  std::uint64_t dedup_hits = 0;
   for (Candidate& candidate : candidates) {
     ScoredCandidate scored;
     scored.candidate = std::move(candidate);
@@ -33,27 +22,15 @@ SelectionResult select_best_candidate(std::vector<Candidate> candidates,
       scored.compute_cost = scored.candidate.compute_cost;
       scored.network_cost = scored.candidate.network_cost;
     } else {
-      std::vector<std::size_t> key = scored.candidate.members;
-      std::sort(key.begin(), key.end());
-      auto it = by_member_set.find(key);
-      if (it == by_member_set.end()) {
-        ++cost_walks;
-        it = by_member_set
-                 .emplace(std::move(key),
-                          candidate_costs(scored.candidate.members, cl, nl))
-                 .first;
-      } else {
-        ++dedup_hits;
-      }
-      scored.compute_cost = it->second.compute;
-      scored.network_cost = it->second.network;
+      const CandidateCosts costs =
+          candidate_costs(scored.candidate.members, cl, nl);
+      scored.compute_cost = costs.compute;
+      scored.network_cost = costs.network;
     }
     compute_sum += scored.compute_cost;
     network_sum += scored.network_cost;
     result.scored.push_back(std::move(scored));
   }
-  if (cost_walks > 0) obs::metrics::select_cost_walks().inc(cost_walks);
-  if (dedup_hits > 0) obs::metrics::select_cost_dedup_hits().inc(dedup_hits);
 
   double best = 0.0;
   bool have_best = false;

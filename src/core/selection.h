@@ -7,9 +7,8 @@
 //
 // Raw costs are defined over the canonical ascending member order (see
 // candidate_costs), so candidates with identical member sets always carry
-// bit-identical raw costs. Scoring therefore (a) reuses costs already
-// accumulated during generation and (b) deduplicates the remaining cost
-// walks by member set instead of re-walking O(k²) pairs per candidate.
+// bit-identical raw costs. Scoring reuses the costs generation attaches and
+// walks candidate_costs once for a candidate that arrives without them.
 #pragma once
 
 #include <span>

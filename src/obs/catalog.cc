@@ -37,14 +37,6 @@ NLARM_CATALOG_COUNTER(alloc_candidates_generated,
                       "nlarm_alloc_candidates_generated_total",
                       "Candidate sub-graphs generated (one per start node "
                       "per request).")
-NLARM_CATALOG_COUNTER(alloc_topk_generations,
-                      "nlarm_alloc_topk_generations_total",
-                      "Requests whose candidate generation used the top-k "
-                      "partial selection.")
-NLARM_CATALOG_COUNTER(alloc_fullsort_generations,
-                      "nlarm_alloc_fullsort_generations_total",
-                      "Requests whose candidate generation needed the full "
-                      "sort (request covers the whole working set).")
 NLARM_CATALOG_COUNTER(alloc_fill_overflows, "nlarm_alloc_fill_overflows_total",
                       "Candidates whose process fill overflowed capacity and "
                       "fell back to round-robin oversubscription.")
@@ -59,14 +51,6 @@ NLARM_CATALOG_FINE_HISTOGRAM(alloc_select_seconds, "nlarm_alloc_select_seconds",
                         "(Algorithm 2).")
 NLARM_CATALOG_FINE_HISTOGRAM(alloc_total_seconds, "nlarm_alloc_total_seconds",
                         "End-to-end wall time of allocate().")
-
-NLARM_CATALOG_COUNTER(select_cost_walks, "nlarm_select_cost_walks_total",
-                      "O(k^2) candidate cost walks run during selection "
-                      "(candidates arriving without generation-time costs).")
-NLARM_CATALOG_COUNTER(select_cost_dedup_hits,
-                      "nlarm_select_cost_dedup_hits_total",
-                      "Selection cost walks skipped because an identical "
-                      "member set was already walked.")
 
 NLARM_CATALOG_COUNTER(prepared_full_rebuilds,
                       "nlarm_prepared_full_rebuilds_total",
@@ -496,15 +480,11 @@ NLARM_CATALOG_GAUGE(probe_traffic_fraction, "nlarm_probe_traffic_fraction",
 void register_all() {
   alloc_requests();
   alloc_candidates_generated();
-  alloc_topk_generations();
-  alloc_fullsort_generations();
   alloc_fill_overflows();
   alloc_prepare_seconds();
   alloc_generate_seconds();
   alloc_select_seconds();
   alloc_total_seconds();
-  select_cost_walks();
-  select_cost_dedup_hits();
   prepared_full_rebuilds();
   prepared_incremental_updates();
   prepared_incremental_fallbacks();

@@ -16,17 +16,11 @@ namespace nlarm::obs::metrics {
 // --- allocator (NetworkLoadAwareAllocator) ---
 Counter& alloc_requests();               ///< nlarm_alloc_requests_total
 Counter& alloc_candidates_generated();   ///< nlarm_alloc_candidates_generated_total
-Counter& alloc_topk_generations();       ///< nlarm_alloc_topk_generations_total
-Counter& alloc_fullsort_generations();   ///< nlarm_alloc_fullsort_generations_total
 Counter& alloc_fill_overflows();         ///< nlarm_alloc_fill_overflows_total
 Histogram& alloc_prepare_seconds();      ///< nlarm_alloc_prepare_seconds
 Histogram& alloc_generate_seconds();     ///< nlarm_alloc_generate_seconds
 Histogram& alloc_select_seconds();       ///< nlarm_alloc_select_seconds
 Histogram& alloc_total_seconds();        ///< nlarm_alloc_total_seconds
-
-// --- selection (Algorithm 2) ---
-Counter& select_cost_walks();            ///< nlarm_select_cost_walks_total
-Counter& select_cost_dedup_hits();       ///< nlarm_select_cost_dedup_hits_total
 
 // --- prepared-state maintenance (PreparedBuilder) ---
 Counter& prepared_full_rebuilds();        ///< nlarm_prepared_full_rebuilds_total

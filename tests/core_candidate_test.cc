@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "core/reference.h"
 #include "util/check.h"
 
 namespace nlarm::core {
@@ -119,6 +120,30 @@ TEST(CandidateTest, DeterministicTieBreakByIndex) {
       generate_candidate(2, cl, nl, pc, 12, JobWeights::balanced());
   // Ties resolved by ascending index after the start node.
   EXPECT_EQ(c.members, (std::vector<std::size_t>{2, 0, 1}));
+}
+
+TEST(CandidateTest, ZeroCostTieKeepsStartFirst) {
+  // An idle homogeneous cluster has CL = 0 on every node, so with β = 0
+  // every node ties with the start node at addition cost 0. The start node
+  // stays member 0 and the rest follow by index, from every start.
+  const std::size_t n = 6;
+  const std::vector<double> cl(n, 0.0);
+  const auto nl = uniform_nl(n, 0.3);
+  const std::vector<int> pc(n, 4);
+  const JobWeights compute_only{1.0, 0.0};
+  for (std::size_t v = 0; v < n; ++v) {
+    SCOPED_TRACE(::testing::Message() << "start " << v);
+    std::vector<std::size_t> want{v};
+    for (std::size_t u = 0; want.size() < 3; ++u) {
+      if (u != v) want.push_back(u);
+    }
+    const Candidate fast = generate_candidate(v, cl, nl, pc, 12, compute_only);
+    EXPECT_EQ(fast.members, want);
+    EXPECT_EQ(fast.procs, (std::vector<int>{4, 4, 4}));
+    EXPECT_EQ(
+        reference::generate_candidate(v, cl, nl, pc, 12, compute_only).members,
+        want);
+  }
 }
 
 TEST(CandidateTest, SizeMismatchRejected) {

@@ -1,12 +1,13 @@
 // Golden-equivalence property test for the allocation fast path.
 //
-// The optimized pipeline (flat matrices, top-k candidate generation,
-// generation-time incremental costs, dedup'd selection, parallel fan-out)
-// must be BIT-IDENTICAL to the retained
+// The optimized pipeline (flat matrices, bucket-select candidate
+// generation, generation-time incremental costs, parallel fan-out) must be
+// BIT-IDENTICAL to the retained
 // reference implementation (core/reference.h) — same members, same procs,
 // same raw and normalized costs, same winner — on random monitored
-// snapshots at several cluster sizes, through both the top-k path and the
-// full-sort/round-robin overflow fallback, serially and in parallel.
+// snapshots at several cluster sizes, at a fixed ppn and at Eq. 3
+// capacities (ppn 0), for requests the cheapest few nodes cover and for
+// the round-robin overflow, serially and in parallel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -85,10 +87,10 @@ monitor::ClusterSnapshot random_snapshot(int n, std::uint64_t seed) {
   return snap;
 }
 
-AllocationRequest make_request(int nprocs) {
+AllocationRequest make_request(int nprocs, int ppn = 4) {
   AllocationRequest request;
   request.nprocs = nprocs;
-  request.ppn = 4;
+  request.ppn = ppn;
   request.job = JobWeights{0.3, 0.7};
   return request;
 }
@@ -136,9 +138,10 @@ void expect_same_allocation(const Allocation& actual,
 
 /// Checks the whole pipeline on one snapshot, through every fast-path
 /// configuration.
-void check_on_snapshot(const monitor::ClusterSnapshot& snap, int nprocs) {
+void check_on_snapshot(const monitor::ClusterSnapshot& snap, int nprocs,
+                       int ppn = 4) {
   const int v = static_cast<int>(snap.nodes.size());
-  const AllocationRequest request = make_request(nprocs);
+  const AllocationRequest request = make_request(nprocs, ppn);
 
   const std::vector<cluster::NodeId> usable = snap.usable_nodes();
   const std::vector<double> cl = rescale_unit_mean(
@@ -172,8 +175,8 @@ void check_on_snapshot(const monitor::ClusterSnapshot& snap, int nprocs) {
     EXPECT_EQ(candidate.network_cost, costs.network);
   }
 
-  // Selection: precomputed-cost path, dedup path (costs stripped) and the
-  // reference cost-walk-per-candidate all agree.
+  // Selection: precomputed-cost path, cost-walk path (costs stripped) and
+  // the reference cost-walk-per-candidate all agree.
   const SelectionResult ref_selection = reference::select_best_candidate(
       ref_candidates, cl, nl, request.job);
   const SelectionResult fast_selection =
@@ -206,37 +209,123 @@ void check_on_snapshot(const monitor::ClusterSnapshot& snap, int nprocs) {
                          ref_alloc);
 }
 
-/// Random snapshot at one cluster size and process count.
-void check_equivalence(int v, int nprocs, std::uint64_t seed) {
+/// Random snapshot at one cluster size, process count and ppn (0 = Eq. 3
+/// capacities, 1 to 11 per node here).
+void check_equivalence(int v, int nprocs, std::uint64_t seed, int ppn = 4) {
   SCOPED_TRACE(::testing::Message() << "V=" << v << " nprocs=" << nprocs
-                                    << " seed=" << seed);
-  check_on_snapshot(random_snapshot(v, seed), nprocs);
+                                    << " seed=" << seed << " ppn=" << ppn);
+  check_on_snapshot(random_snapshot(v, seed), nprocs, ppn);
 }
 
 TEST(FastPathEquivalenceTest, TopKPathSmall) {
-  check_equivalence(8, 13, 1001);  // k < V: partial-selection path
+  // The request is covered well inside the cluster: few buckets survive.
+  for (const int ppn : {4, 0}) check_equivalence(8, 13, 1001, ppn);
 }
 
 TEST(FastPathEquivalenceTest, TopKPathPaperScale) {
-  check_equivalence(60, 32, 2002);
+  for (const int ppn : {4, 0}) check_equivalence(60, 32, 2002, ppn);
 }
 
 TEST(FastPathEquivalenceTest, TopKPathLarge) {
-  check_equivalence(257, 48, 3003);
+  for (const int ppn : {4, 0}) check_equivalence(257, 48, 3003, ppn);
 }
 
 TEST(FastPathEquivalenceTest, FullSortOverflowSmall) {
-  // nprocs exceeds effective capacity (ppn 4): k == V, full sort + the
-  // round-robin overflow fallback.
-  check_equivalence(8, 8 * 4 + 7, 4004);
+  // At ppn 4 nprocs exceeds the effective capacity: every bucket survives
+  // and the round-robin overflow fallback runs. Eq. 3 gives most nodes
+  // more than 4 slots here, so at ppn 0 the same shapes are covered late
+  // in the order instead (this one exactly, by every node).
+  for (const int ppn : {4, 0}) check_equivalence(8, 8 * 4 + 7, 4004, ppn);
 }
 
 TEST(FastPathEquivalenceTest, FullSortOverflowPaperScale) {
-  check_equivalence(60, 60 * 4 + 11, 5005);
+  for (const int ppn : {4, 0}) {
+    check_equivalence(60, 60 * 4 + 11, 5005, ppn);
+  }
 }
 
 TEST(FastPathEquivalenceTest, FullSortOverflowLarge) {
-  check_equivalence(257, 257 * 4 + 3, 6006);
+  for (const int ppn : {4, 0}) {
+    check_equivalence(257, 257 * 4 + 3, 6006, ppn);
+  }
+}
+
+TEST(FastPathEquivalenceTest, OverflowAtEqThreeCapacities) {
+  // Σpc under Eq. 3 plus a few: the overflow case at uneven capacities.
+  for (const int v : {8, 60}) {
+    const monitor::ClusterSnapshot snap =
+        random_snapshot(v, 8008 + static_cast<std::uint64_t>(v));
+    const std::vector<int> pc =
+        effective_process_counts(snap, snap.usable_nodes(), 0);
+    const int total = std::accumulate(pc.begin(), pc.end(), 0);
+    for (const int extra : {1, 9}) {
+      SCOPED_TRACE(::testing::Message() << "V=" << v << " extra=" << extra);
+      check_on_snapshot(snap, total + extra, 0);
+    }
+  }
+}
+
+TEST(FastPathEquivalenceTest, StartNodeCoversTheRequestAlone) {
+  // pc[start] ≥ nprocs: no bucket survives and every candidate is the start
+  // node alone.
+  const monitor::ClusterSnapshot snap = random_snapshot(60, 9009);
+  for (const auto& [nprocs, ppn] :
+       {std::pair{1, 0}, std::pair{8, 8}, std::pair{5, 12}}) {
+    SCOPED_TRACE(::testing::Message() << "nprocs=" << nprocs
+                                      << " ppn=" << ppn);
+    check_on_snapshot(snap, nprocs, ppn);
+    const AllocationRequest request = make_request(nprocs, ppn);
+    const std::vector<cluster::NodeId> usable = snap.usable_nodes();
+    const std::vector<double> cl = rescale_unit_mean(
+        compute_loads(snap, usable, request.compute_weights));
+    const util::FlatMatrix nl = rescale_unit_mean(
+        network_loads(snap, usable, request.network_weights));
+    const std::vector<int> pc = effective_process_counts(snap, usable, ppn);
+    for (const Candidate& candidate :
+         generate_all_candidates(cl, nl, pc, nprocs, request.job)) {
+      EXPECT_EQ(candidate.members,
+                std::vector<std::size_t>{candidate.start_index});
+      EXPECT_EQ(candidate.procs, std::vector<int>{nprocs});
+    }
+  }
+}
+
+TEST(FastPathEquivalenceTest, TiedKeysAmongNonStartNodes) {
+  // Six distinct node records repeated ten times and latencies/bandwidths
+  // drawn from three values each: addition costs tie exactly across many
+  // non-start nodes, so the index tie-break decides the order and which
+  // tied nodes the fill takes.
+  monitor::ClusterSnapshot snap = random_snapshot(60, 1212);
+  sim::Rng rng(1212);
+  for (std::size_t i = 6; i < snap.nodes.size(); ++i) {
+    const cluster::NodeSpec spec = snap.nodes[i].spec;
+    snap.nodes[i] = snap.nodes[i % 6];
+    snap.nodes[i].spec.id = spec.id;
+    snap.nodes[i].spec.hostname = spec.hostname;
+  }
+  const double lats[] = {100.0, 200.0, 400.0};
+  const double bws[] = {250.0, 500.0, 900.0};
+  for (std::size_t u = 0; u < snap.nodes.size(); ++u) {
+    for (std::size_t w = u + 1; w < snap.nodes.size(); ++w) {
+      const double lat = lats[rng.uniform_int(0, 2)];
+      const double bw = bws[rng.uniform_int(0, 2)];
+      snap.net.latency_us[u][w] = snap.net.latency_us[w][u] = lat;
+      snap.net.latency_5min_us[u][w] = snap.net.latency_5min_us[w][u] = lat;
+      snap.net.bandwidth_mbps[u][w] = snap.net.bandwidth_mbps[w][u] = bw;
+      snap.net.peak_mbps[u][w] = snap.net.peak_mbps[w][u] = 1000.0;
+    }
+  }
+  for (const int ppn : {4, 0}) {
+    for (const int nprocs : {13, 70, 150}) {
+      SCOPED_TRACE(::testing::Message() << "nprocs=" << nprocs
+                                        << " ppn=" << ppn);
+      check_on_snapshot(snap, nprocs, ppn);
+    }
+  }
+}
+
+TEST(FastPathEquivalenceTest, LargeClusterAtEqThreeCapacities) {
+  check_equivalence(1024, 512, 1024, 0);
 }
 
 TEST(FastPathEquivalenceTest, ManySeedsSmallClusters) {
@@ -368,6 +457,114 @@ TEST(FastPathEquivalenceTest, TwoPhaseCoveringBitIdentityPaperScale) {
 
 TEST(FastPathEquivalenceTest, TwoPhaseCoveringBitIdentityLarge) {
   check_two_phase_covering(switched_snapshot(257, 3333, 16), 48);
+}
+
+TEST(FastPathEquivalenceTest, IdleHomogeneousClusterTiesWithTheStart) {
+  // Identical idle nodes: every normalized compute attribute is 0, so CL is
+  // 0 everywhere and, with β = 0, every addition cost ties with the start
+  // node's own. Every entry point must still put the start node first and
+  // match the reference.
+  monitor::ClusterSnapshot snap = switched_snapshot(24, 1313, 8);
+  for (auto& node : snap.nodes) {
+    node.spec.core_count = 8;
+    node.spec.cpu_freq_ghz = 3.0;
+    node.cpu_load = 0.0;
+    node.cpu_load_avg = {0.0, 0.0, 0.0};
+    node.cpu_util = 0.0;
+    node.cpu_util_avg = {0.0, 0.0, 0.0};
+    node.net_flow_mbps = 0.0;
+    node.net_flow_avg = {0.0, 0.0, 0.0};
+    node.mem_used_gb = 0.0;
+    node.mem_avail_avg = {16.0, 16.0, 16.0};
+    node.users = 0;
+  }
+  const auto shared = std::make_shared<const monitor::ClusterSnapshot>(snap);
+  HierarchicalOptions covering;
+  covering.pair_sample = 0;
+  covering.two_phase_min_nodes = std::numeric_limits<std::size_t>::max();
+  for (const int nprocs : {4, 16, 40}) {
+    SCOPED_TRACE(::testing::Message() << "nprocs=" << nprocs);
+    AllocationRequest request = make_request(nprocs);
+    request.job = JobWeights{1.0, 0.0};
+    const std::vector<double> cl = rescale_unit_mean(
+        compute_loads(snap, snap.usable_nodes(), request.compute_weights));
+    ASSERT_EQ(cl, std::vector<double>(cl.size(), 0.0));
+
+    const Allocation want = reference::allocate(snap, request);
+    NetworkLoadAwareAllocator allocator;
+    expect_same_allocation(allocator.allocate(snap, request), want);
+    PreparedBuilder flat(RequestProfile::of(request));
+    flat.rebuild(shared);
+    expect_same_allocation(allocate_prepared(*flat.build(), request), want);
+    PreparedBuilder tiled(RequestProfile::of(request), TilingOptions{});
+    tiled.rebuild(shared);
+    expect_same_allocation(
+        allocate_two_phase(*tiled.build(), request, covering), want);
+  }
+}
+
+TEST(FastPathEquivalenceTest, DrainedCapacityOverrideWithStarts) {
+  // Batch admission debits capacities, some down to 0, and starts only from
+  // nodes with capacity left. allocate_prepared on that pc override must
+  // match the reference generation and selection over the same pc.
+  const auto shared = std::make_shared<const monitor::ClusterSnapshot>(
+      random_snapshot(60, 1414));
+  util::ThreadPool pool(3);
+  GenerationOptions serial;
+  serial.parallel_threshold = -1;
+  GenerationOptions parallel;
+  parallel.parallel_threshold = 0;
+  parallel.pool = &pool;
+  for (const int ppn : {4, 0}) {
+    for (const int nprocs : {12, 40, 400}) {
+      SCOPED_TRACE(::testing::Message() << "nprocs=" << nprocs
+                                        << " ppn=" << ppn);
+      const AllocationRequest request = make_request(nprocs, ppn);
+      PreparedBuilder builder(RequestProfile::of(request));
+      builder.rebuild(shared);
+      const auto epoch = builder.build();
+      std::vector<int> pc = epoch->pc;
+      sim::Rng rng(1414 + static_cast<std::uint64_t>(ppn));
+      for (int& c : pc) {
+        if (rng.chance(0.3)) {
+          c = 0;
+        } else if (rng.chance(0.3)) {
+          c = std::max(1, c - 2);
+        }
+      }
+      std::vector<std::size_t> starts;
+      for (std::size_t i = 0; i < pc.size(); ++i) {
+        if (pc[i] > 0 && i % 3 != 1) starts.push_back(i);
+      }
+
+      std::vector<Candidate> ref;
+      for (const std::size_t start : starts) {
+        ref.push_back(reference::generate_candidate(
+            start, epoch->cl, *epoch->nl, pc, nprocs, request.job));
+      }
+      expect_same_candidates(
+          generate_all_candidates(epoch->cl, *epoch->nl, pc, nprocs,
+                                  request.job, starts, serial),
+          ref);
+      expect_same_candidates(
+          generate_all_candidates(epoch->cl, *epoch->nl, pc, nprocs,
+                                  request.job, starts, parallel),
+          ref);
+
+      const SelectionResult selection = reference::select_best_candidate(
+          ref, epoch->cl, *epoch->nl, request.job);
+      const ScoredCandidate& best = selection.scored[selection.best_index];
+      std::vector<cluster::NodeId> want_nodes;
+      for (const std::size_t m : best.candidate.members) {
+        want_nodes.push_back(epoch->usable[m]);
+      }
+      const Allocation got =
+          allocate_prepared(*epoch, request, serial, nullptr, pc, starts);
+      EXPECT_EQ(got.nodes, want_nodes);
+      EXPECT_EQ(got.procs_per_node, best.candidate.procs);
+      EXPECT_EQ(got.total_cost, best.total_cost);
+    }
+  }
 }
 
 TEST(FastPathEquivalenceTest, TwoPhaseCoveringUnderDegradation) {
