@@ -6,6 +6,7 @@
 // claim at the paper's scale (V = 60) and the scaling trend beyond it.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <numeric>
 
 #include "core/allocator.h"
@@ -15,6 +16,7 @@
 #include "core/network_load.h"
 #include "monitor/snapshot.h"
 #include "sim/rng.h"
+#include "util/thread_pool.h"
 
 using namespace nlarm;
 
@@ -115,11 +117,14 @@ void BM_CandidateGeneration(benchmark::State& state) {
 BENCHMARK(BM_CandidateGeneration)->Arg(16)->Arg(60)->Arg(128)->Arg(256)
     ->Arg(512)->Arg(1024)->Complexity();
 
-/// Serial all-starts generation at Eq. 3 capacities (ppn 0), the uneven pc
-/// that perfbench and `nlarm_broker --ppn 0` decide with. Args: V, nprocs.
+/// All-starts generation at Eq. 3 capacities (ppn 0), the uneven pc that
+/// perfbench and `nlarm_broker --ppn 0` decide with. Args: V, nprocs,
+/// threads: 1 is serial, 4 fans out like an epoch decide of a broker with
+/// `--refresh-threads 4` (3 pool workers plus the calling thread).
 void BM_CandidateGenerationEq3(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int nprocs = static_cast<int>(state.range(1));
+  const auto threads = static_cast<std::size_t>(state.range(2));
   const auto snap = synthetic_snapshot(n, 42);
   std::vector<cluster::NodeId> usable(static_cast<std::size_t>(n));
   std::iota(usable.begin(), usable.end(), 0);
@@ -129,16 +134,39 @@ void BM_CandidateGenerationEq3(benchmark::State& state) {
       core::network_loads(snap, usable, core::NetworkLoadWeights{});
   const std::vector<int> pc = core::effective_process_counts(snap, usable, 0);
   const core::JobWeights job{0.3, 0.7};
-  core::GenerationOptions serial;
-  serial.parallel_threshold = -1;
+  util::ThreadPool pool(threads - 1);
+  core::GenerationOptions options;
+  options.pool = &pool;
+  if (threads == 1) options.parallel_threshold = -1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::generate_all_candidates(cl, nl, pc, nprocs, job, serial));
+        core::generate_all_candidates(cl, nl, pc, nprocs, job, options));
   }
 }
 BENCHMARK(BM_CandidateGenerationEq3)
-    ->ArgsProduct({{256, 2048}, {16, 128, 512}})
-    ->Unit(benchmark::kMillisecond);
+    ->ArgsProduct({{256, 2048}, {16, 128, 512}, {1, 4}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// Capacity probe: a fixed compute loop per thread. Its items/s at
+/// threads:4 over threads:1 is how many cores the host gives this process
+/// right now; quote it next to any parallel speedup, since the capacity of
+/// a shared host drifts from minute to minute.
+void BM_CapacityProbe(benchmark::State& state) {
+  constexpr int kSteps = 1 << 20;
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(
+                                                state.thread_index());
+  for (auto _ : state) {
+    for (int i = 0; i < kSteps; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    benchmark::DoNotOptimize(x);
+  }
+  state.SetItemsProcessed(state.iterations() * kSteps);
+}
+BENCHMARK(BM_CapacityProbe)->Threads(1)->Threads(4)->UseRealTime();
 
 void BM_ComputeLoads(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

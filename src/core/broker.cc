@@ -169,13 +169,17 @@ void ResourceBroker::audit(const monitor::ClusterSnapshot& snapshot,
 
 void ResourceBroker::set_refresh_threads(int threads) {
   NLARM_CHECK(threads >= 1) << "refresh thread count must be positive";
-  std::lock_guard<std::mutex> lock(builder_mutex_);
-  refresh_threads_ = threads;
-  refresh_pool_ =
-      threads > 1 ? std::make_unique<util::ThreadPool>(
+  std::shared_ptr<util::ThreadPool> pool =
+      threads > 1 ? std::make_shared<util::ThreadPool>(
                         static_cast<std::size_t>(threads - 1))
                   : nullptr;
-  if (builder_.has_value()) builder_->set_thread_pool(refresh_pool_.get());
+  std::lock_guard<std::mutex> lock(builder_mutex_);
+  if (builder_.has_value()) builder_->set_thread_pool(pool.get());
+  {
+    // The old pool goes when its last decide lets go of it.
+    std::lock_guard<std::mutex> pool_lock(pool_mutex_);
+    refresh_pool_.swap(pool);
+  }
   obs::metrics::refresh_workers().set(static_cast<double>(threads));
 }
 
@@ -321,15 +325,24 @@ BrokerDecision ResourceBroker::decide_prepared(
     NLARM_DEBUG << "broker verdict (epoch " << prepared.epoch << "): wait — "
                 << decision.reason;
   } else {
+    // Candidate generation fans out over the refresh pool at the default
+    // threshold; with one refresh thread there is no pool and it stays
+    // serial.
+    std::shared_ptr<util::ThreadPool> pool;
+    {
+      std::lock_guard<std::mutex> lock(pool_mutex_);
+      pool = refresh_pool_;
+    }
+    GenerationOptions generation;
+    generation.pool = pool.get();
+    if (pool == nullptr) generation.parallel_threshold = -1;
     if (hierarchy_.has_value() && prepared.tiles != nullptr) {
       decision.allocation =
-          allocate_two_phase(prepared, request, *hierarchy_,
-                             epoch_generation_options_, &stats,
-                             /*hier=*/nullptr, pc_override, starts);
+          allocate_two_phase(prepared, request, *hierarchy_, generation,
+                             &stats, /*hier=*/nullptr, pc_override, starts);
     } else {
-      decision.allocation =
-          allocate_prepared(prepared, request, epoch_generation_options_,
-                            &stats, pc_override, starts);
+      decision.allocation = allocate_prepared(prepared, request, generation,
+                                              &stats, pc_override, starts);
     }
     decision.reason = util::format(
         "allocated %d node(s) via %s", decision.allocation.node_count(),

@@ -14,8 +14,11 @@
 //  - refresh_epoch(...) + decide(pin, request): the concurrent path. A
 //    refresh thread turns snapshots (or snapshot deltas) into immutable
 //    prepared epochs; any number of threads decide() against their pinned
-//    epoch with no locks on the hot path. decide_batch() admits a vector of
-//    requests against one epoch with conflict-aware capacity debiting.
+//    epoch without waiting on refreshes. decide_batch() admits a vector of
+//    requests against one epoch with conflict-aware capacity debiting. With
+//    set_refresh_threads(n > 1), refreshes and the candidate generation of
+//    epoch decides at 192 or more nodes fan out over one pool of n − 1
+//    workers plus the calling thread.
 #pragma once
 
 #include <atomic>
@@ -142,12 +145,14 @@ class ResourceBroker {
   /// Sizes the epoch-refresh worker pool: full rebuilds, delta applies and
   /// dense materializations inside refresh_epoch() fan out across `threads`
   /// workers (the refresh thread participates, so an internal pool of
-  /// threads-1 workers is kept). threads <= 1 keeps the serial path.
-  /// Published epochs are bit-identical either way. Call before refresh
-  /// threads start (same contract as set_degradation); the pool is owned by
-  /// the broker and torn down with it.
+  /// threads-1 workers is kept), and so does candidate generation in every
+  /// epoch decide (decide, decide_batch, the serve plane's misses) over at
+  /// least GenerationOptions' default 192 nodes, the deciding thread
+  /// participating. threads <= 1 keeps both serial. Published epochs and
+  /// decisions are bit-identical either way. Safe while decides run: each
+  /// holds the pool it fans out on, and the old pool goes with the last of
+  /// them.
   void set_refresh_threads(int threads);
-  int refresh_threads() const { return refresh_threads_; }
 
   /// Current epoch counter (0 = nothing published yet).
   std::uint64_t epoch() const { return publisher_.epoch(); }
@@ -158,8 +163,9 @@ class ResourceBroker {
   /// Re-validates a pin against the publisher; true when it changed.
   bool refresh_pin(EpochPin& pin) const { return publisher_.refresh(pin); }
 
-  /// Lock-free decision against the pinned epoch. The request's profile
-  /// must match the epoch's. Safe to call from any number of threads.
+  /// Decision against the pinned epoch, taking no lock a refresh holds.
+  /// The request's profile must match the epoch's. Safe to call from any
+  /// number of threads.
   BrokerDecision decide(const EpochPin& pin,
                         const AllocationRequest& request);
 
@@ -186,15 +192,6 @@ class ResourceBroker {
   /// older than the policy's hard bound.
   int stale_refusals() const {
     return refusals_.load(std::memory_order_relaxed);
-  }
-
-  /// Candidate fan-out options for the epoch paths. Defaults to serial
-  /// generation: with many decide() threads in flight, cross-request
-  /// concurrency already fills the machine, and per-request fork-join only
-  /// adds coordination. (The classic path keeps the allocator's own
-  /// options.)
-  void set_epoch_generation_options(const GenerationOptions& options) {
-    epoch_generation_options_ = options;
   }
 
   /// Attaches a decision-audit sink; every decide() appends one record.
@@ -283,13 +280,14 @@ class ResourceBroker {
   std::mutex builder_mutex_;  ///< serializes refresh_epoch callers
   std::optional<Degrader> degrader_;  ///< under builder_mutex_
   std::optional<PreparedBuilder> builder_;
-  int refresh_threads_ = 1;
-  /// Refresh worker pool (refresh_threads_ - 1 workers); under
-  /// builder_mutex_ like the builder it is attached to.
-  std::unique_ptr<util::ThreadPool> refresh_pool_;
+  /// Refresh worker pool (threads - 1 workers, null for 1 thread), which
+  /// the builder and the uncached epoch decides fan out on. Written under
+  /// builder_mutex_ and pool_mutex_. Decides do not take builder_mutex_:
+  /// each copies the pointer under pool_mutex_ and holds that reference
+  /// through its fan-out, so a swap cannot destroy the pool under one.
+  std::mutex pool_mutex_;
+  std::shared_ptr<util::ThreadPool> refresh_pool_;
   EpochPublisher publisher_;
-  GenerationOptions epoch_generation_options_{.parallel_threshold = -1,
-                                              .pool = nullptr};
 };
 
 }  // namespace nlarm::core

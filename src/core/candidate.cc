@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "core/prepared.h"
 #include "obs/catalog.h"
@@ -14,10 +13,6 @@
 namespace nlarm::core {
 
 namespace {
-
-/// Cost buckets of the capacity-weighted select in generate_candidate. More
-/// buckets leave fewer survivors to sort and cost more per start to scan.
-constexpr std::size_t kBuckets = 256;
 
 /// Strict total order on (addition cost, index). Equivalent to the original
 /// stable_sort with an index tie-break: indices are unique, so the key is a
@@ -112,51 +107,51 @@ Candidate generate_candidate(std::size_t start, std::span<const double> cl,
   addition.resize(count);
   simd::score_addition_row(job.alpha, cl, nl[start], job.beta, addition);
 
-  // Cost range of the nodes the fill can take (u ≠ start, pc[u] > 0).
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -lo;
-  for (std::size_t u = 0; u < count; ++u) {
-    NLARM_CHECK(pc[u] >= 0) << "node with negative capacity " << pc[u];
-    if (u == start || pc[u] == 0) continue;
-    lo = std::min(lo, addition[u]);
-    hi = std::max(hi, addition[u]);
+  // Cost range of the nodes the fill can take (u ≠ start, pc[u] > 0). The
+  // kernel only flags a negative capacity; the rescan names the first one.
+  const simd::CostRange range = simd::cost_range(addition, pc, start);
+  if (range.negative_capacity) {
+    for (std::size_t u = 0; u < count; ++u) {
+      NLARM_CHECK(pc[u] >= 0) << "node with negative capacity " << pc[u];
+    }
   }
-  double scale = hi > lo ? static_cast<double>(kBuckets - 1) / (hi - lo) : 0.0;
+  double scale = range.hi > range.lo
+                     ? static_cast<double>(simd::kCostBuckets - 1) /
+                           (range.hi - range.lo)
+                     : 0.0;
   if (!std::isfinite(scale)) scale = 0.0;
 
   // Capacity per cost bucket. b(u) never decreases as A_v(u) grows (rounded
   // subtraction and scaling by a positive constant are monotone), so every
   // node of the minimal covering prefix lies at or below the first bucket
   // whose running capacity covers the request. The start node and drained
-  // nodes get the sentinel kBuckets and never survive.
-  std::array<std::int64_t, kBuckets> capacity{};
+  // nodes get the sentinel kCostBuckets and never survive. Consecutive
+  // nodes add into four interleaved sub-histograms, so a run of nodes in one
+  // bucket does not serialize on a single counter; the sentinel has a slot
+  // of its own.
   bucket.resize(count);
-  for (std::size_t u = 0; u < count; ++u) {
-    if (u == start || pc[u] == 0) {
-      bucket[u] = kBuckets;
-      continue;
-    }
-    const double x = (addition[u] - lo) * scale;
-    std::size_t b = 0;  // also for a NaN x
-    if (x >= static_cast<double>(kBuckets - 1)) {
-      b = kBuckets - 1;
-    } else if (x > 0.0) {
-      b = static_cast<std::size_t>(x);
-    }
-    bucket[u] = static_cast<std::uint16_t>(b);
-    capacity[b] += pc[u];
+  simd::bucket_codes(addition, pc, start, range.lo, scale, bucket);
+  std::array<std::array<std::int64_t, simd::kCostBuckets + 1>, 4> capacity{};
+  std::size_t u = 0;
+  for (; u + 4 <= count; u += 4) {
+    capacity[0][bucket[u]] += pc[u];
+    capacity[1][bucket[u + 1]] += pc[u + 1];
+    capacity[2][bucket[u + 2]] += pc[u + 2];
+    capacity[3][bucket[u + 3]] += pc[u + 3];
   }
+  for (; u < count; ++u) capacity[0][bucket[u]] += pc[u];
   // Buckets [0, keep) survive: none when the start alone covers the request,
   // all when the cluster never does (the round-robin overflow case).
   std::int64_t covered = pc[start];
   std::size_t keep = 0;
-  while (covered < nprocs && keep < kBuckets) covered += capacity[keep++];
+  for (; covered < nprocs && keep < simd::kCostBuckets; ++keep) {
+    covered += capacity[0][keep] + capacity[1][keep] + capacity[2][keep] +
+               capacity[3][keep];
+  }
 
   // Survivors: the start node, then the rest in (cost, index) order.
   order.assign(1, start);
-  for (std::size_t u = 0; u < count; ++u) {
-    if (bucket[u] < keep) order.push_back(u);
-  }
+  simd::collect_survivors(bucket, keep, order);
   std::sort(order.begin() + 1, order.end(), AdditionOrder{addition});
 
   FillResult fill = fill_processes(order, pc, nprocs);

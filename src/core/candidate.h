@@ -14,7 +14,10 @@
 // and sorts the few survivors. The bucket map is monotone in the cost, so
 // the survivors contain the whole covering prefix; the (cost, index) key is
 // a strict total order, so their sort reproduces the full stable_sort
-// prefix exactly.
+// prefix exactly. The select's three O(V) passes per start (cost range,
+// bucket codes, survivor scan) are SIMD kernels with scalar references
+// (core::simd in core/prepared.h); they compute integers and exact min/max
+// values, so every kernel gives its reference's result.
 #pragma once
 
 #include <span>
@@ -82,7 +85,9 @@ struct GenerationOptions {
   /// many nodes; below it the per-request fork-join overhead outweighs the
   /// win. Negative disables parallelism entirely.
   int parallel_threshold = 192;
-  /// Pool to fan out on; nullptr uses ThreadPool::shared().
+  /// Pool to fan out on; nullptr uses ThreadPool::shared(). Epoch decides
+  /// pass the broker's refresh pool, and run serially when it has none
+  /// (ResourceBroker::set_refresh_threads).
   util::ThreadPool* pool = nullptr;
 };
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -794,10 +795,66 @@ void score_addition_row_scalar(double alpha, std::span<const double> cl,
   }
 }
 
+CostRange cost_range_scalar(std::span<const double> cost,
+                            std::span<const int> pc, std::size_t start) {
+  CostRange range{std::numeric_limits<double>::infinity(),
+                  -std::numeric_limits<double>::infinity(), false};
+  for (std::size_t u = 0; u < cost.size(); ++u) {
+    if (u == start) continue;
+    range.negative_capacity |= pc[u] < 0;
+    if (pc[u] <= 0) continue;
+    range.lo = std::min(range.lo, cost[u]);
+    range.hi = std::max(range.hi, cost[u]);
+  }
+  return range;
+}
+
+namespace {
+
+/// One node's bucket code, ignoring the start (bucket_codes_scalar's body).
+std::uint16_t bucket_code(double cost, int pc, double lo, double scale) {
+  if (pc == 0) return kCostBuckets;
+  const double x = (cost - lo) * scale;
+  std::size_t b = 0;  // also for a NaN x
+  if (x >= static_cast<double>(kCostBuckets - 1)) {
+    b = kCostBuckets - 1;
+  } else if (x > 0.0) {
+    b = static_cast<std::size_t>(x);
+  }
+  return static_cast<std::uint16_t>(b);
+}
+
+}  // namespace
+
+void bucket_codes_scalar(std::span<const double> cost,
+                         std::span<const int> pc, std::size_t start,
+                         double lo, double scale,
+                         std::span<std::uint16_t> out) {
+  for (std::size_t u = 0; u < cost.size(); ++u) {
+    out[u] = bucket_code(cost[u], pc[u], lo, scale);
+  }
+  out[start] = kCostBuckets;
+}
+
+void collect_survivors_scalar(std::span<const std::uint16_t> codes,
+                              std::size_t keep,
+                              std::vector<std::size_t>& out) {
+  for (std::size_t u = 0; u < codes.size(); ++u) {
+    if (codes[u] < keep) out.push_back(u);
+  }
+}
+
 namespace {
 
 using ScoreFn = void (*)(double, std::span<const double>, const double*,
                          double, std::span<double>);
+using RangeFn = CostRange (*)(std::span<const double>, std::span<const int>,
+                              std::size_t);
+using BucketFn = void (*)(std::span<const double>, std::span<const int>,
+                          std::size_t, double, double,
+                          std::span<std::uint16_t>);
+using SurvivorFn = void (*)(std::span<const std::uint16_t>, std::size_t,
+                            std::vector<std::size_t>&);
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define NLARM_SIMD_AVX2 1
@@ -821,6 +878,128 @@ __attribute__((target("avx2"))) void score_addition_row_avx2(
   }
   for (; u < count; ++u) {
     out_p[u] = alpha * cl_p[u] + beta * nl_row[u];
+  }
+}
+
+/// cost_range over all n entries (no start to skip), eight per step in two
+/// accumulators of four lanes.
+__attribute__((target("avx2"))) CostRange cost_range_block_avx2(
+    const double* cost, const int* pc, std::size_t n) {
+  const double inf = std::numeric_limits<double>::infinity();
+  __m256d lo0 = _mm256_set1_pd(inf);
+  __m256d lo1 = lo0;
+  __m256d hi0 = _mm256_set1_pd(-inf);
+  __m256d hi1 = hi0;
+  __m256i sign = _mm256_setzero_si256();
+  const __m256i one = _mm256_set1_epi32(1);
+  std::size_t u = 0;
+  for (; u + 8 <= n; u += 8) {
+    const __m256i p =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pc + u));
+    sign = _mm256_or_si256(sign, p);
+    // A node with pc <= 0 gets all-ones bits OR-ed into its cost, a NaN;
+    // min_pd(x, acc) and max_pd(x, acc) return acc for a NaN x, which is
+    // how std::min(acc, x) and std::max(acc, x) treat one too.
+    const __m256i skip = _mm256_cmpgt_epi32(one, p);
+    const __m256d skip0 = _mm256_castsi256_pd(
+        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(skip)));
+    const __m256d skip1 = _mm256_castsi256_pd(
+        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(skip, 1)));
+    const __m256d x0 = _mm256_or_pd(_mm256_loadu_pd(cost + u), skip0);
+    const __m256d x1 = _mm256_or_pd(_mm256_loadu_pd(cost + u + 4), skip1);
+    lo0 = _mm256_min_pd(x0, lo0);
+    hi0 = _mm256_max_pd(x0, hi0);
+    lo1 = _mm256_min_pd(x1, lo1);
+    hi1 = _mm256_max_pd(x1, hi1);
+  }
+  alignas(32) std::array<double, 4> lo{};
+  alignas(32) std::array<double, 4> hi{};
+  _mm256_store_pd(lo.data(), _mm256_min_pd(lo1, lo0));
+  _mm256_store_pd(hi.data(), _mm256_max_pd(hi1, hi0));
+  CostRange range{inf, -inf,
+                  _mm256_movemask_ps(_mm256_castsi256_ps(sign)) != 0};
+  for (std::size_t lane = 0; lane < 4; ++lane) {
+    range.lo = std::min(range.lo, lo[lane]);
+    range.hi = std::max(range.hi, hi[lane]);
+  }
+  for (; u < n; ++u) {
+    range.negative_capacity |= pc[u] < 0;
+    if (pc[u] <= 0) continue;
+    range.lo = std::min(range.lo, cost[u]);
+    range.hi = std::max(range.hi, cost[u]);
+  }
+  return range;
+}
+
+__attribute__((target("avx2"))) CostRange cost_range_avx2(
+    std::span<const double> cost, std::span<const int> pc,
+    std::size_t start) {
+  // The start is never a lane: one block on each side of it.
+  const CostRange below = cost_range_block_avx2(cost.data(), pc.data(), start);
+  const CostRange above = cost_range_block_avx2(
+      cost.data() + start + 1, pc.data() + start + 1, cost.size() - start - 1);
+  return {std::min(below.lo, above.lo), std::max(below.hi, above.hi),
+          below.negative_capacity || above.negative_capacity};
+}
+
+__attribute__((target("avx2"))) void bucket_codes_avx2(
+    std::span<const double> cost, std::span<const int> pc, std::size_t start,
+    double lo, double scale, std::span<std::uint16_t> out) {
+  const std::size_t count = cost.size();
+  const __m256d vlo = _mm256_set1_pd(lo);
+  const __m256d vscale = _mm256_set1_pd(scale);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d top = _mm256_set1_pd(static_cast<double>(kCostBuckets - 1));
+  const __m128i sentinel = _mm_set1_epi32(static_cast<int>(kCostBuckets));
+  const __m128i drained = _mm_setzero_si128();
+  std::size_t u = 0;
+  for (; u + 8 <= count; u += 8) {
+    // The scalar kernel's clamp, branch-free: max_pd(x, 0) also maps a NaN
+    // x to 0 (the second operand wins), min_pd caps at 255, and the
+    // truncating conversion floors the in-range rest.
+    const __m256d x0 = _mm256_mul_pd(
+        _mm256_sub_pd(_mm256_loadu_pd(cost.data() + u), vlo), vscale);
+    const __m256d x1 = _mm256_mul_pd(
+        _mm256_sub_pd(_mm256_loadu_pd(cost.data() + u + 4), vlo), vscale);
+    __m128i b0 = _mm256_cvttpd_epi32(
+        _mm256_min_pd(_mm256_max_pd(x0, zero), top));
+    __m128i b1 = _mm256_cvttpd_epi32(
+        _mm256_min_pd(_mm256_max_pd(x1, zero), top));
+    const __m128i p0 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pc.data() + u));
+    const __m128i p1 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pc.data() + u + 4));
+    b0 = _mm_blendv_epi8(b0, sentinel, _mm_cmpeq_epi32(p0, drained));
+    b1 = _mm_blendv_epi8(b1, sentinel, _mm_cmpeq_epi32(p1, drained));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data() + u),
+                     _mm_packus_epi32(b0, b1));
+  }
+  for (; u < count; ++u) out[u] = bucket_code(cost[u], pc[u], lo, scale);
+  out[start] = kCostBuckets;
+}
+
+__attribute__((target("avx2"))) void collect_survivors_avx2(
+    std::span<const std::uint16_t> codes, std::size_t keep,
+    std::vector<std::size_t>& out) {
+  const std::size_t count = codes.size();
+  // Codes and keep are at most kCostBuckets, so the signed 16-bit compare
+  // is exact.
+  const __m256i limit = _mm256_set1_epi16(static_cast<std::int16_t>(keep));
+  std::size_t u = 0;
+  for (; u + 16 <= count; u += 16) {
+    const __m256i c =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes.data() + u));
+    // Two mask bits per 16-bit lane; keep the low one of each pair.
+    auto mask = static_cast<std::uint32_t>(
+                    _mm256_movemask_epi8(_mm256_cmpgt_epi16(limit, c))) &
+                0x55555555u;
+    while (mask != 0) {
+      out.push_back(u + static_cast<std::size_t>(__builtin_ctz(mask)) / 2);
+      mask &= mask - 1;
+    }
+  }
+  for (; u < count; ++u) {
+    if (codes[u] < keep) out.push_back(u);
   }
 }
 #endif
@@ -882,6 +1061,9 @@ bool kernel_matches_scalar(ScoreFn candidate) {
 
 struct Dispatch {
   ScoreFn fn = &score_addition_row_scalar;
+  RangeFn range = &cost_range_scalar;
+  BucketFn buckets = &bucket_codes_scalar;
+  SurvivorFn survivors = &collect_survivors_scalar;
   Kernel kernel = Kernel::kScalar;
 
   Dispatch() {
@@ -889,6 +1071,9 @@ struct Dispatch {
     if (__builtin_cpu_supports("avx2") &&
         kernel_matches_scalar(&score_addition_row_avx2)) {
       fn = &score_addition_row_avx2;
+      range = &cost_range_avx2;
+      buckets = &bucket_codes_avx2;
+      survivors = &collect_survivors_avx2;
       kernel = Kernel::kAvx2;
     }
 #elif defined(NLARM_SIMD_NEON)
@@ -912,6 +1097,22 @@ void score_addition_row(double alpha, std::span<const double> cl,
                         const double* nl_row, double beta,
                         std::span<double> out) {
   dispatch().fn(alpha, cl, nl_row, beta, out);
+}
+
+CostRange cost_range(std::span<const double> cost, std::span<const int> pc,
+                     std::size_t start) {
+  return dispatch().range(cost, pc, start);
+}
+
+void bucket_codes(std::span<const double> cost, std::span<const int> pc,
+                  std::size_t start, double lo, double scale,
+                  std::span<std::uint16_t> out) {
+  dispatch().buckets(cost, pc, start, lo, scale, out);
+}
+
+void collect_survivors(std::span<const std::uint16_t> codes,
+                       std::size_t keep, std::vector<std::size_t>& out) {
+  dispatch().survivors(codes, keep, out);
 }
 
 Kernel active_kernel() { return dispatch().kernel; }

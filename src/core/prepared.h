@@ -509,7 +509,55 @@ void score_addition_row(double alpha, std::span<const double> cl,
                         const double* nl_row, double beta,
                         std::span<double> out);
 
-/// The kernel the one-time dispatch landed on ("scalar", "avx2", "neon").
+// The three O(V) passes of Algorithm 1's capacity-weighted bucket select
+// (core/candidate.cc), one call each per start node. Each has a scalar
+// reference kernel; the dispatched ones run AVX2 on x86-64 and the scalar
+// reference elsewhere. They produce integer bucket codes, survivor indices
+// and min/max values, which involve no rounding, so the AVX2 kernels equal
+// the references by construction. `cost` and `pc` have one entry per node
+// and start < cost.size().
+
+/// Cost buckets of the select; bucket codes run 0..kCostBuckets−1, and
+/// kCostBuckets itself is the sentinel of a node the fill cannot take. More
+/// buckets leave fewer survivors to sort and cost more per start to scan.
+inline constexpr std::size_t kCostBuckets = 256;
+
+/// The cost range of the nodes the fill can take from `start`: the min and
+/// max of cost[u] over u ≠ start with pc[u] > 0. A NaN cost is ignored, as
+/// std::min/std::max ignore it; with no such node lo = +∞ and hi = −∞.
+/// `negative_capacity` tells whether some pc[u], u ≠ start, is negative. A
+/// zero min or max may differ in sign from the reference's, which no bucket
+/// code can see.
+struct CostRange {
+  double lo = 0.0;
+  double hi = 0.0;
+  bool negative_capacity = false;
+};
+CostRange cost_range_scalar(std::span<const double> cost,
+                            std::span<const int> pc, std::size_t start);
+CostRange cost_range(std::span<const double> cost, std::span<const int> pc,
+                     std::size_t start);
+
+/// out[u] = clamp(⌊(cost[u] − lo)·scale⌋, 0, kCostBuckets − 1), with a NaN
+/// product in bucket 0, and kCostBuckets for u == start and for pc[u] == 0.
+void bucket_codes_scalar(std::span<const double> cost,
+                         std::span<const int> pc, std::size_t start,
+                         double lo, double scale,
+                         std::span<std::uint16_t> out);
+void bucket_codes(std::span<const double> cost, std::span<const int> pc,
+                  std::size_t start, double lo, double scale,
+                  std::span<std::uint16_t> out);
+
+/// Appends every u with codes[u] < keep to `out`, in ascending order.
+void collect_survivors_scalar(std::span<const std::uint16_t> codes,
+                              std::size_t keep,
+                              std::vector<std::size_t>& out);
+void collect_survivors(std::span<const std::uint16_t> codes,
+                       std::size_t keep, std::vector<std::size_t>& out);
+
+/// The kernel set the one-time dispatch landed on ("scalar", "avx2",
+/// "neon"). It names the scoring row; the select kernels run AVX2 exactly
+/// when it is "avx2".
 Kernel active_kernel();
 const char* active_kernel_name();
 

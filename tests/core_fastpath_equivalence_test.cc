@@ -16,10 +16,12 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/allocator.h"
+#include "core/broker.h"
 #include "core/candidate.h"
 #include "core/compute_load.h"
 #include "core/degrade.h"
@@ -30,6 +32,7 @@
 #include "core/reference.h"
 #include "core/selection.h"
 #include "monitor/snapshot.h"
+#include "obs/catalog.h"
 #include "sim/rng.h"
 #include "util/thread_pool.h"
 #include "test_helpers.h"
@@ -325,7 +328,10 @@ TEST(FastPathEquivalenceTest, TiedKeysAmongNonStartNodes) {
 }
 
 TEST(FastPathEquivalenceTest, LargeClusterAtEqThreeCapacities) {
-  check_equivalence(1024, 512, 1024, 0);
+  // 523 is no multiple of the select kernels' 4-, 8- and 16-lane widths.
+  for (const int v : {1024, 523}) {
+    check_equivalence(v, 512, static_cast<std::uint64_t>(v), 0);
+  }
 }
 
 TEST(FastPathEquivalenceTest, ManySeedsSmallClusters) {
@@ -791,6 +797,77 @@ TEST(ParallelRefreshEquivalenceTest, DegradedSnapshotsStayBitIdentical) {
   degraded.version = 11;
   check_parallel_builder(degraded, 99, std::nullopt);
   check_parallel_builder(degraded, 99, TilingOptions{});
+}
+
+void expect_same_decision(const BrokerDecision& actual,
+                          const BrokerDecision& expected) {
+  EXPECT_EQ(actual.action, expected.action);
+  EXPECT_EQ(actual.reason, expected.reason);
+  EXPECT_EQ(actual.effective_capacity, expected.effective_capacity);
+  expect_same_allocation(actual.allocation, expected.allocation);
+}
+
+TEST(ParallelRefreshEquivalenceTest, EpochDecidesBitIdenticalAcrossThreads) {
+  // At 192 or more usable nodes an epoch decide fans candidate generation
+  // out over the broker's refresh pool. A broker with 4 refresh threads must
+  // decide exactly as one with 1 (serial generation), on the flat path,
+  // through two-phase pruning and in the two-phase covering regime, for
+  // single decides and a debiting batch.
+  constexpr int kNodes = 240;
+  const auto snapshot = std::make_shared<const monitor::ClusterSnapshot>(
+      switched_snapshot(kNodes, 0xdec1de, 12));
+  const std::vector<AllocationRequest> requests{
+      make_request(16, 0), make_request(128, 0), make_request(512, 0)};
+  const RequestProfile profile = RequestProfile::of(requests.front());
+  BrokerPolicy policy;
+  policy.max_load_per_core = 1e9;  // random loads; decide, never wait
+  HierarchicalOptions pruned;
+  pruned.pair_sample = 0;
+  HierarchicalOptions covering = pruned;
+  covering.two_phase_min_nodes = std::numeric_limits<std::size_t>::max();
+  const std::optional<HierarchicalOptions> modes[] = {std::nullopt, pruned,
+                                                      covering};
+  for (const std::optional<HierarchicalOptions>& mode : modes) {
+    SCOPED_TRACE(::testing::Message()
+                 << (!mode ? "flat"
+                     : mode->two_phase_min_nodes == 0 ? "two-phase pruned"
+                                                      : "two-phase covering"));
+    NetworkLoadAwareAllocator allocator;
+    ResourceBroker serial(allocator, policy);
+    ResourceBroker pooled(allocator, policy);
+    pooled.set_refresh_threads(4);
+    if (mode) {
+      serial.set_hierarchy(*mode);
+      pooled.set_hierarchy(*mode);
+    }
+    serial.refresh_epoch(snapshot, profile);
+    pooled.refresh_epoch(snapshot, profile);
+    const EpochPin serial_pin = serial.pin_epoch();
+    const EpochPin pooled_pin = pooled.pin_epoch();
+    for (const AllocationRequest& request : requests) {
+      SCOPED_TRACE(::testing::Message() << "nprocs=" << request.nprocs);
+      const std::uint64_t tasks = obs::metrics::threadpool_tasks().value();
+      const BrokerDecision want = serial.decide(serial_pin, request);
+      EXPECT_EQ(obs::metrics::threadpool_tasks().value(), tasks);
+      const BrokerDecision got = pooled.decide(pooled_pin, request);
+      ASSERT_EQ(want.action, BrokerDecision::Action::kAllocate);
+      expect_same_decision(got, want);
+      // The pooled decide really fanned out: one task per start node.
+      if (!mode || mode->two_phase_min_nodes != 0) {
+        EXPECT_GE(obs::metrics::threadpool_tasks().value() - tasks,
+                  static_cast<std::uint64_t>(kNodes));
+      }
+    }
+    const std::vector<BrokerDecision> want =
+        serial.decide_batch(serial_pin, requests);
+    const std::vector<BrokerDecision> got =
+        pooled.decide_batch(pooled_pin, requests);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "batch request " << i);
+      expect_same_decision(got[i], want[i]);
+    }
+  }
 }
 
 /// Deterministic procedural pair terms: tiled V=4096 equivalence without

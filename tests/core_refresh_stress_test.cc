@@ -166,51 +166,60 @@ TEST(RefreshStressTest, ParallelRefreshRacesHotDeciders) {
 }
 
 // Changing the refresh worker count between publications while readers stay
-// pinned: pool teardown/rebuild must not disturb in-flight epochs.
+// pinned: pool teardown/rebuild must not disturb in-flight epochs. At 192
+// nodes the readers' decides fan candidate generation out on the very pool
+// set_refresh_threads swaps, so a swap lands while a decide holds the old
+// pool.
 TEST(RefreshStressTest, ResizingRefreshPoolUnderPinnedReaders) {
-  constexpr int kNodes = 9;
-  auto store = seeded_store(kNodes);
-  const AllocationRequest request = request_for();
-  const RequestProfile profile = RequestProfile::of(request);
+  for (const int nodes : {9, 192}) {
+    SCOPED_TRACE(::testing::Message() << "nodes=" << nodes);
+    auto store = seeded_store(nodes);
+    const AllocationRequest request = request_for();
+    const RequestProfile profile = RequestProfile::of(request);
 
-  NetworkLoadAwareAllocator allocator;
-  ResourceBroker broker(allocator);
-  broker.refresh_epoch(
-      std::make_shared<const monitor::ClusterSnapshot>(store->assemble(1.0)),
-      profile);
-  store->drain_delta();
+    // seeded_store loads node i with 0.1·i, so a large cluster's mean load
+    // per core passes the default wait threshold.
+    BrokerPolicy policy;
+    policy.max_load_per_core = 10.0;
+    NetworkLoadAwareAllocator allocator;
+    ResourceBroker broker(allocator, policy);
+    broker.refresh_epoch(std::make_shared<const monitor::ClusterSnapshot>(
+                             store->assemble(1.0)),
+                         profile);
+    store->drain_delta();
 
-  std::atomic<bool> stop{false};
-  std::atomic<long> decides{0};
-  std::thread reader([&broker, &request, &stop, &decides] {
-    EpochPin pin = broker.pin_epoch();
-    while (!stop.load(std::memory_order_relaxed)) {
-      broker.refresh_pin(pin);
-      const BrokerDecision decision = broker.decide(pin, request);
-      ASSERT_EQ(decision.action, BrokerDecision::Action::kAllocate);
-      decides.fetch_add(1, std::memory_order_relaxed);
+    std::atomic<bool> stop{false};
+    std::atomic<long> decides{0};
+    std::thread reader([&broker, &request, &stop, &decides] {
+      EpochPin pin = broker.pin_epoch();
+      while (!stop.load(std::memory_order_relaxed)) {
+        broker.refresh_pin(pin);
+        const BrokerDecision decision = broker.decide(pin, request);
+        ASSERT_EQ(decision.action, BrokerDecision::Action::kAllocate);
+        decides.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+
+    sim::Rng rng(11);
+    double now = 1.0;
+    const int sizes[] = {1, 3, 2, 4, 1, 2};
+    for (int round = 0; round < 12; ++round) {
+      broker.set_refresh_threads(sizes[round % 6]);
+      now += 1.0;
+      churn(*store, rng, nodes, now);
+      auto snapshot = std::make_shared<const monitor::ClusterSnapshot>(
+          store->assemble(now));
+      broker.refresh_epoch(snapshot, store->drain_delta(), profile);
     }
-  });
+    while (decides.load(std::memory_order_relaxed) < 1) {
+      std::this_thread::yield();
+    }
+    stop.store(true, std::memory_order_relaxed);
+    reader.join();
 
-  sim::Rng rng(11);
-  double now = 1.0;
-  const int sizes[] = {1, 3, 2, 4, 1, 2};
-  for (int round = 0; round < 12; ++round) {
-    broker.set_refresh_threads(sizes[round % 6]);
-    now += 1.0;
-    churn(*store, rng, kNodes, now);
-    auto snapshot = std::make_shared<const monitor::ClusterSnapshot>(
-        store->assemble(now));
-    broker.refresh_epoch(snapshot, store->drain_delta(), profile);
+    EXPECT_EQ(broker.epoch(), 13u);
+    EXPECT_GT(decides.load(), 0);
   }
-  while (decides.load(std::memory_order_relaxed) < 1) {
-    std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
-
-  EXPECT_EQ(broker.epoch(), 13u);
-  EXPECT_GT(decides.load(), 0);
 }
 
 // The full replicated refresh plane live: a leader thread appends churned

@@ -330,9 +330,11 @@ int main(int argc, char** argv) {
        {"serve-requests", "total decisions to serve in serve mode "
                           "(default 10000)"},
        {"refresh-threads",
-        "worker threads for epoch refreshes (full rebuilds, delta applies); "
-        "1 = serial (default). Published epochs are bit-identical at any "
-        "count; followers also use this for replicated rebuilds"},
+        "threads for epoch refreshes (full rebuilds, delta applies) and for "
+        "the candidate generation of epoch-path decides over 192 or more "
+        "usable nodes; 1 = serial (default). Published epochs and decisions "
+        "are bit-identical at any count; followers also use this for "
+        "replicated rebuilds and their decides"},
        {"serve-shards",
         "route serve mode through the sharded admission front end with this "
         "many shard workers (0 = direct decide(pin) per thread)"},
