@@ -140,7 +140,7 @@ void BM_CandidateGenerationEq3(benchmark::State& state) {
   if (threads == 1) options.parallel_threshold = -1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::generate_all_candidates(cl, nl, pc, nprocs, job, options));
+        core::generate_all_candidates(cl, nl, pc, nprocs, job, {}, options));
   }
 }
 BENCHMARK(BM_CandidateGenerationEq3)

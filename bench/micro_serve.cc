@@ -1,18 +1,19 @@
 // Admission front-end microbenchmarks (google-benchmark).
 //
-// The tentpole claim: the sharded serve path (core/serve_shard.h) sustains
-// >= 5x the decisions/sec of the uncached epoch path at 8 producer
-// threads. Four front ends over one V=256 snapshot, same request:
+// The claim: the sharded serve path (core/serve_shard.h) with its decision
+// cache sustains >= 5x the decisions/sec of the uncached epoch path at 8
+// producer threads. Four front ends over one V=256 snapshot, same request:
 //
 //   BM_MutexFrontedServe  classic decide(snapshot, request): every call
 //                         prepares CL/NL/pc from the snapshot and scores
 //                         with the allocator serialized on decide_mutex_.
 //   BM_EpochDirectServe   decide(pin, request): lock-free epoch path, but
 //                         every caller pays a full Algorithm-1/2 pass.
-//   BM_ShardServeNoCache  sharded rings + per-drain epoch pinning, every
-//                         request fresh-scored (isolates the pipeline cost).
-//   BM_ShardServeWarm     sharded + decision cache: steady-state replay of
-//                         the scoring pass (the million-QPS configuration).
+//   BM_ShardServeNoCache  4 shards, cache off: each caller fresh-scores
+//                         under its shard's lock (isolates the plane's
+//                         locking cost over the epoch-direct path).
+//   BM_ShardServeWarm     4 shards + decision cache: steady-state replay of
+//                         the scoring pass under the shard's lock.
 //
 // The committed BENCH_serve.json carries the full-length run; CI re-runs a
 // short version and enforces the warm/epoch-direct ratio (see ci.yml).

@@ -103,11 +103,8 @@ Allocation allocate_working_set(std::span<const double> cl,
                                 SelectionResult* selection) {
   obs::ScopedSpan generate_span("alloc.generate",
                                 &obs::metrics::alloc_generate_seconds());
-  std::vector<Candidate> candidates =
-      starts.empty() ? generate_all_candidates(cl, nl, pc, request.nprocs,
-                                               request.job, options)
-                     : generate_all_candidates(cl, nl, pc, request.nprocs,
-                                               request.job, starts, options);
+  std::vector<Candidate> candidates = generate_all_candidates(
+      cl, nl, pc, request.nprocs, request.job, starts, options);
   stats.generate_seconds = generate_span.stop();
   stats.candidates_generated = candidates.size();
   obs::metrics::alloc_candidates_generated().inc(candidates.size());

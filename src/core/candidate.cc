@@ -170,48 +170,24 @@ Candidate generate_candidate(std::size_t start, std::span<const double> cl,
 std::vector<Candidate> generate_all_candidates(
     std::span<const double> cl, const util::FlatMatrix& nl,
     std::span<const int> pc, int nprocs, const JobWeights& job,
-    const GenerationOptions& options) {
-  const std::size_t count = cl.size();
-  std::vector<Candidate> candidates(count);
-  const bool parallel =
-      options.parallel_threshold >= 0 &&
-      count >= static_cast<std::size_t>(options.parallel_threshold) &&
-      count > 1;
-  if (!parallel) {
-    for (std::size_t start = 0; start < count; ++start) {
-      candidates[start] = generate_candidate(start, cl, nl, pc, nprocs, job);
-    }
-    return candidates;
-  }
-  util::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : util::ThreadPool::shared();
-  pool.parallel_for(count, [&](std::size_t start) {
-    candidates[start] = generate_candidate(start, cl, nl, pc, nprocs, job);
-  });
-  return candidates;
-}
-
-std::vector<Candidate> generate_all_candidates(
-    std::span<const double> cl, const util::FlatMatrix& nl,
-    std::span<const int> pc, int nprocs, const JobWeights& job,
     std::span<const std::size_t> starts, const GenerationOptions& options) {
-  const std::size_t count = starts.size();
+  const std::size_t count = starts.empty() ? cl.size() : starts.size();
   std::vector<Candidate> candidates(count);
+  const auto generate = [&](std::size_t i) {
+    const std::size_t start = starts.empty() ? i : starts[i];
+    candidates[i] = generate_candidate(start, cl, nl, pc, nprocs, job);
+  };
   const bool parallel =
       options.parallel_threshold >= 0 &&
       count >= static_cast<std::size_t>(options.parallel_threshold) &&
       count > 1;
   if (!parallel) {
-    for (std::size_t i = 0; i < count; ++i) {
-      candidates[i] = generate_candidate(starts[i], cl, nl, pc, nprocs, job);
-    }
+    for (std::size_t i = 0; i < count; ++i) generate(i);
     return candidates;
   }
   util::ThreadPool& pool =
       options.pool != nullptr ? *options.pool : util::ThreadPool::shared();
-  pool.parallel_for(count, [&](std::size_t i) {
-    candidates[i] = generate_candidate(starts[i], cl, nl, pc, nprocs, job);
-  });
+  pool.parallel_for(count, generate);
   return candidates;
 }
 

@@ -91,20 +91,15 @@ struct GenerationOptions {
   util::ThreadPool* pool = nullptr;
 };
 
-/// All |V| candidates (one per possible start node). Results are ordered by
-/// start index and bit-identical whether generated serially or in parallel
-/// (each start node writes only its own slot).
+/// One candidate per entry of `starts` (working-set positions, each with
+/// pc > 0), in `starts` order; an empty `starts` means all |V| positions in
+/// index order. Batch admission passes `starts` to only start from nodes
+/// with remaining capacity. Results are bit-identical whether generated
+/// serially or in parallel (each start node writes only its own slot).
 std::vector<Candidate> generate_all_candidates(
     std::span<const double> cl, const util::FlatMatrix& nl,
     std::span<const int> pc, int nprocs, const JobWeights& job,
+    std::span<const std::size_t> starts = {},
     const GenerationOptions& options = {});
-
-/// Restricted fan-out: one candidate per entry of `starts` (working-set
-/// positions, each with pc > 0), in `starts` order. Batch admission uses
-/// this to only start from nodes with remaining capacity.
-std::vector<Candidate> generate_all_candidates(
-    std::span<const double> cl, const util::FlatMatrix& nl,
-    std::span<const int> pc, int nprocs, const JobWeights& job,
-    std::span<const std::size_t> starts, const GenerationOptions& options = {});
 
 }  // namespace nlarm::core

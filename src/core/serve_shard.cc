@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
+#include <unordered_map>
 
 #include "obs/catalog.h"
 #include "obs/trace.h"
@@ -13,10 +13,6 @@ namespace nlarm::core {
 
 void ServeOptions::validate() const {
   NLARM_CHECK(shards >= 1) << "need at least one serve shard";
-  NLARM_CHECK(queue_capacity >= 1) << "shard ring needs at least one slot";
-  NLARM_CHECK(coalesce_window_us >= 0.0)
-      << "coalesce window must be non-negative";
-  NLARM_CHECK(max_drain >= 1) << "a drain must serve at least one request";
 }
 
 // --- AdmissionLedger ---
@@ -89,42 +85,28 @@ int AdmissionLedger::snapshot(std::vector<int>& out,
 
 // --- ServePlane ---
 
-/// One in-flight request. Lives on the producer's stack; the worker fills
-/// `decision` then publishes through `done` (release store + notify, paired
-/// with the producer's acquire wait).
-struct ServePlane::Slot {
-  const AllocationRequest* request = nullptr;
-  BrokerDecision decision;
-  double enqueue_time = 0.0;
-  std::atomic<bool> done{false};
-};
-
 struct ServePlane::CacheEntry {
-  std::uint64_t epoch = 0;
   BrokerDecision decision;
   /// Working-set positions and process counts of the placement, precomputed
   /// at insert so a replay's capacity re-proof is two flat array walks.
   std::vector<std::int32_t> positions;
   std::vector<int> takes;
+  /// The shard's pass count once this entry's scoring pass finished.
+  std::uint64_t pass = 0;
 };
 
 struct ServePlane::Shard {
-  explicit Shard(std::size_t capacity) : ring(capacity) {}
+  std::mutex mutex;
 
-  util::MpmcRing<Slot*> ring;
-  std::thread worker;
-
-  // Parking: the worker raises `sleeping` then re-checks the ring before
-  // waiting, so a producer that enqueued concurrently either sees the flag
-  // (and notifies) or its push is seen by the re-check. The bounded wait_for
-  // makes any residual missed wakeup a latency blip, not a hang.
-  std::mutex wake_mutex;
-  std::condition_variable wake_cv;
-  std::atomic<bool> sleeping{false};
-
-  // Worker-thread-only state (lock-free by construction).
+  // Under `mutex`.
+  EpochPin pin;
   std::unordered_map<ShapeKey, CacheEntry, ShapeKeyHash> cache;
   std::uint64_t cache_epoch = 0;  ///< cache cleared when the served epoch moves
+
+  /// Scoring passes this shard has run. Written under `mutex`; decide()
+  /// reads it before locking, so a cache entry with a higher `pass` was
+  /// scored while that request queued.
+  std::atomic<std::uint64_t> passes{0};
 };
 
 std::size_t ServePlane::ShapeKeyHash::operator()(const ShapeKey& key) const {
@@ -147,58 +129,53 @@ ServePlane::ServePlane(ResourceBroker& broker, ServeOptions options)
          "plane";
   shards_.reserve(static_cast<std::size_t>(options_.shards));
   for (int s = 0; s < options_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(options_.queue_capacity));
-  }
-  for (auto& shard : shards_) {
-    Shard& ref = *shard;
-    ref.worker = std::thread([this, &ref] { worker_loop(ref); });
+    shards_.push_back(std::make_unique<Shard>());
   }
   obs::metrics::serve_shards().set(static_cast<double>(options_.shards));
-  NLARM_INFO << "serve plane up: " << options_.shards << " shard(s), ring "
-             << shards_.front()->ring.capacity() << ", cache "
-             << (options_.decision_cache ? "on" : "off") << ", coalesce "
-             << options_.coalesce_window_us << " us";
+  NLARM_INFO << "serve plane up: " << options_.shards << " shard(s), cache "
+             << (options_.decision_cache ? "on" : "off");
 }
 
 ServePlane::~ServePlane() { stop(); }
 
 BrokerDecision ServePlane::decide(const AllocationRequest& request) {
-  Slot slot;
-  slot.request = &request;
-  slot.enqueue_time = obs::trace_clock_seconds();
+  const double arrival = obs::trace_clock_seconds();
+  request.validate();
+  Shard& shard = *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
+                          shards_.size()];
+  const std::uint64_t passes_seen =
+      shard.passes.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  NLARM_CHECK(!stopped_.load(std::memory_order_relaxed))
+      << "decide() on a stopped serve plane";
+  broker_.refresh_pin(shard.pin);
 
-  const std::size_t index = next_shard_.fetch_add(
-                                1, std::memory_order_relaxed) %
-                            shards_.size();
-  Shard& shard = *shards_[index];
-  while (!shard.ring.try_push(&slot)) {
-    queue_full_spins_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics::serve_queue_full_spins().inc();
-    std::this_thread::yield();
-  }
-  wake(shard);
+  std::shared_ptr<const PreparedSnapshot> keepalive;
+  const char* note = "";
+  double last_good_age = 0.0;
+  const PreparedSnapshot* prepared = broker_.resolve_degraded(
+      *shard.pin.prepared, keepalive, note, last_good_age);
+  BrokerDecision decision =
+      prepared == nullptr
+          ? broker_.refuse_stale(*shard.pin.prepared, request, last_good_age)
+          : serve(shard, *prepared, note, request, passes_seen);
 
-  // Short spin first (at serve rates the worker usually answers within a
-  // drain), then block on the futex-backed atomic wait.
-  for (int spin = 0; spin < 256; ++spin) {
-    if (slot.done.load(std::memory_order_acquire)) {
-      return std::move(slot.decision);
-    }
-  }
-  while (!slot.done.load(std::memory_order_acquire)) {
-    slot.done.wait(false, std::memory_order_acquire);
-  }
-  return std::move(slot.decision);
+  decisions_.fetch_add(1, std::memory_order_relaxed);
+  obs::metrics::serve_plane_decisions().inc();
+  // Admission wait: arrival → verdict, the wait for the shard's lock
+  // included (what this caller actually waited for its verdict).
+  obs::metrics::admission_wait_sketch().observe(obs::trace_clock_seconds() -
+                                                arrival);
+  return decision;
 }
 
 void ServePlane::stop() {
-  stop_.store(true, std::memory_order_release);
+  stopped_.store(true, std::memory_order_relaxed);
+  // Taking each lock waits out the decide that holds it; a decide that
+  // locks after this sweep sees the flag (the unlock orders the store).
   for (auto& shard : shards_) {
-    {
-      std::lock_guard<std::mutex> lock(shard->wake_mutex);
-      shard->wake_cv.notify_all();
-    }
-    if (shard->worker.joinable()) shard->worker.join();
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    shard->pin = EpochPin{};
   }
   obs::metrics::serve_shards().set(0.0);
 }
@@ -212,218 +189,97 @@ ServeStats ServePlane::stats() const {
       cache_invalidations_.load(std::memory_order_relaxed);
   out.coalesced = coalesced_.load(std::memory_order_relaxed);
   out.scoring_passes = scoring_passes_.load(std::memory_order_relaxed);
-  out.drains = drains_.load(std::memory_order_relaxed);
-  out.queue_full_spins = queue_full_spins_.load(std::memory_order_relaxed);
   return out;
 }
 
-void ServePlane::worker_loop(Shard& shard) {
-  EpochPin pin = broker_.pin_epoch();
-  std::vector<Slot*> batch;
-  batch.reserve(options_.max_drain);
-  for (;;) {
-    batch.clear();
-    Slot* slot = nullptr;
-    while (batch.size() < options_.max_drain && shard.ring.try_pop(slot)) {
-      batch.push_back(slot);
-    }
-    if (batch.empty()) {
-      // stop() guarantees no producer is inside decide(), so an empty pop
-      // sweep after the flag means the ring is drained for good.
-      if (stop_.load(std::memory_order_acquire)) return;
-      park(shard);
-      continue;
-    }
-    if (options_.coalesce_window_us > 0.0 &&
-        batch.size() < options_.max_drain) {
-      // Hold the drain open to gather more of a same-shape burst into this
-      // scoring window.
-      const double deadline =
-          obs::trace_clock_seconds() + options_.coalesce_window_us * 1e-6;
-      while (batch.size() < options_.max_drain &&
-             obs::trace_clock_seconds() < deadline) {
-        if (shard.ring.try_pop(slot)) {
-          batch.push_back(slot);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    }
-    drain(shard, pin, batch);
-  }
-}
-
-void ServePlane::drain(Shard& shard, EpochPin& pin,
-                       std::vector<Slot*>& batch) {
-  // The pin is re-validated once per drain: every request in the batch is
-  // served against one immutable epoch, amortizing the publisher handshake
-  // over the whole sweep.
-  broker_.refresh_pin(pin);
-  drains_.fetch_add(1, std::memory_order_relaxed);
-  obs::metrics::serve_drains().inc();
-  std::size_t depth = 0;
-  for (const auto& other : shards_) depth += other->ring.size_estimate();
-  obs::metrics::serve_shard_queue_depth().set(static_cast<double>(depth));
-
-  std::shared_ptr<const PreparedSnapshot> keepalive;
-  const char* note = "";
-  double last_good_age = 0.0;
-  const PreparedSnapshot* prepared =
-      broker_.resolve_degraded(*pin.prepared, keepalive, note, last_good_age);
-  if (prepared == nullptr) {
-    for (Slot* waiting : batch) {
-      waiting->decision =
-          broker_.refuse_stale(*pin.prepared, *waiting->request,
-                               last_good_age);
-      decisions_.fetch_add(1, std::memory_order_relaxed);
-      obs::metrics::serve_plane_decisions().inc();
-      obs::metrics::admission_wait_sketch().observe(
-          obs::trace_clock_seconds() - waiting->enqueue_time);
-      waiting->done.store(true, std::memory_order_release);
-      waiting->done.notify_one();
-    }
-    return;
-  }
-
-  if (shard.cache_epoch != prepared->epoch) {
+BrokerDecision ServePlane::serve(Shard& shard,
+                                 const PreparedSnapshot& prepared,
+                                 const char* note,
+                                 const AllocationRequest& request,
+                                 std::uint64_t passes_seen) {
+  if (shard.cache_epoch != prepared.epoch) {
     shard.cache.clear();
-    shard.cache_epoch = prepared->epoch;
+    shard.cache_epoch = prepared.epoch;
   }
+  const std::shared_ptr<AdmissionLedger> ledger =
+      options_.debit_capacity ? ledger_for(prepared) : nullptr;
 
-  AdmissionLedger* ledger = nullptr;
-  std::shared_ptr<AdmissionLedger> ledger_keepalive;
-  if (options_.debit_capacity) {
-    ledger_keepalive = ledger_for(*prepared);
-    ledger = ledger_keepalive.get();
-  }
-
-  // Shapes freshly scored in THIS drain — a later cache hit on one of them
-  // is a coalesced request (it rode a drain-mate's pass).
-  thread_local std::vector<ShapeKey> drain_fresh;
-  drain_fresh.clear();
-  for (Slot* waiting : batch) {
-    serve_slot(shard, *prepared, note, ledger, *waiting, drain_fresh);
-  }
-}
-
-void ServePlane::serve_slot(Shard& shard, const PreparedSnapshot& prepared,
-                            const char* note, AdmissionLedger* ledger,
-                            Slot& slot,
-                            std::vector<ShapeKey>& drain_fresh) {
-  const AllocationRequest& request = *slot.request;
-  request.validate();
   ShapeKey key;
   key.nprocs = request.nprocs;
   key.ppn = request.ppn;
   key.alpha_bits = std::bit_cast<std::uint64_t>(request.job.alpha);
   key.beta_bits = std::bit_cast<std::uint64_t>(request.job.beta);
 
-  BrokerDecision decision;
-  bool served = false;
   if (options_.decision_cache) {
     const auto it = shard.cache.find(key);
-    if (it != shard.cache.end() && it->second.epoch == prepared.epoch) {
-      CacheEntry& entry = it->second;
+    if (it != shard.cache.end()) {
+      const CacheEntry& entry = it->second;
       // Replay only if every chosen node still has headroom after the debits
       // that landed since the entry was scored (all-or-nothing reservation).
-      const bool headroom =
-          ledger == nullptr || ledger->try_debit(entry.positions, entry.takes);
-      if (headroom) {
-        decision = broker_.replay_decision(prepared, request, entry.decision,
-                                           note);
+      if (ledger == nullptr ||
+          ledger->try_debit(entry.positions, entry.takes)) {
         cache_hits_.fetch_add(1, std::memory_order_relaxed);
         obs::metrics::serve_cache_hits().inc();
-        if (std::find(drain_fresh.begin(), drain_fresh.end(), key) !=
-            drain_fresh.end()) {
+        if (entry.pass > passes_seen) {
           coalesced_.fetch_add(1, std::memory_order_relaxed);
           obs::metrics::serve_coalesced().inc();
         }
-        served = true;
-      } else {
-        shard.cache.erase(it);
-        cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
-        obs::metrics::serve_cache_invalidations().inc();
+        return broker_.replay_decision(prepared, request, entry.decision,
+                                       note);
       }
+      shard.cache.erase(it);
+      cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
+      obs::metrics::serve_cache_invalidations().inc();
     }
+    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    obs::metrics::serve_cache_misses().inc();
   }
 
-  if (!served) {
-    if (options_.decision_cache) {
-      cache_misses_.fetch_add(1, std::memory_order_relaxed);
-      obs::metrics::serve_cache_misses().inc();
-    }
-    thread_local std::vector<int> pc;
-    thread_local std::vector<std::size_t> starts;
-    if (ledger != nullptr) {
-      // Fresh pass over what is left: post-debit capacities via the same
-      // pc_override/starts mechanism decide_batch uses.
-      const int capacity = ledger->snapshot(pc, starts);
-      decision = broker_.decide_prepared(prepared, request, pc, starts,
-                                         starts.size(), capacity, note);
-    } else {
-      decision = broker_.decide_prepared(prepared, request, /*pc_override=*/{},
-                                         /*starts=*/{},
-                                         prepared.usable.size(),
-                                         prepared.effective_capacity, note);
-    }
-    scoring_passes_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics::serve_scoring_passes().inc();
+  BrokerDecision decision;
+  if (ledger != nullptr) {
+    // Fresh pass over what is left: post-debit capacities via the same
+    // pc_override/starts mechanism decide_batch uses.
+    std::vector<int> pc;
+    std::vector<std::size_t> starts;
+    const int capacity = ledger->snapshot(pc, starts);
+    decision = broker_.decide_prepared(prepared, request, pc, starts,
+                                       starts.size(), capacity, note);
+  } else {
+    decision = broker_.decide_prepared(prepared, request, /*pc_override=*/{},
+                                       /*starts=*/{}, prepared.usable.size(),
+                                       prepared.effective_capacity, note);
+  }
+  scoring_passes_.fetch_add(1, std::memory_order_relaxed);
+  obs::metrics::serve_scoring_passes().inc();
+  const std::uint64_t pass =
+      shard.passes.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (decision.action != BrokerDecision::Action::kAllocate) return decision;
 
-    if (decision.action == BrokerDecision::Action::kAllocate) {
-      CacheEntry entry;
-      entry.epoch = prepared.epoch;
-      const Allocation& alloc = decision.allocation;
-      entry.positions.reserve(alloc.nodes.size());
-      entry.takes.reserve(alloc.nodes.size());
-      for (std::size_t i = 0; i < alloc.nodes.size(); ++i) {
-        const auto id = static_cast<std::size_t>(alloc.nodes[i]);
-        NLARM_CHECK(id < prepared.pos_of.size()) << "allocated unknown node";
-        const std::int32_t pos = prepared.pos_of[id];
-        NLARM_CHECK(pos >= 0) << "allocated node outside the working set";
-        entry.positions.push_back(pos);
-        entry.takes.push_back(alloc.procs_per_node[i]);
-      }
-      if (ledger != nullptr) {
-        // Clamped like decide_batch's working-copy debit: round-robin
-        // oversubscription may grant more than a node's remainder.
-        for (std::size_t i = 0; i < entry.positions.size(); ++i) {
-          ledger->debit_clamped(entry.positions[i], entry.takes[i]);
-        }
-      }
-      if (options_.decision_cache) {
-        entry.decision = decision;
-        shard.cache[key] = std::move(entry);
-        drain_fresh.push_back(key);
-      }
+  CacheEntry entry;
+  entry.pass = pass;
+  const Allocation& alloc = decision.allocation;
+  entry.positions.reserve(alloc.nodes.size());
+  entry.takes.reserve(alloc.nodes.size());
+  for (std::size_t i = 0; i < alloc.nodes.size(); ++i) {
+    const auto id = static_cast<std::size_t>(alloc.nodes[i]);
+    NLARM_CHECK(id < prepared.pos_of.size()) << "allocated unknown node";
+    const std::int32_t pos = prepared.pos_of[id];
+    NLARM_CHECK(pos >= 0) << "allocated node outside the working set";
+    entry.positions.push_back(pos);
+    entry.takes.push_back(alloc.procs_per_node[i]);
+  }
+  if (ledger != nullptr) {
+    // Clamped like decide_batch's working-copy debit: round-robin
+    // oversubscription may grant more than a node's remainder.
+    for (std::size_t i = 0; i < entry.positions.size(); ++i) {
+      ledger->debit_clamped(entry.positions[i], entry.takes[i]);
     }
   }
-
-  decisions_.fetch_add(1, std::memory_order_relaxed);
-  obs::metrics::serve_plane_decisions().inc();
-  // Admission wait: enqueue → scored, per request (what this caller
-  // actually waited for its verdict).
-  obs::metrics::admission_wait_sketch().observe(obs::trace_clock_seconds() -
-                                                slot.enqueue_time);
-  slot.decision = std::move(decision);
-  slot.done.store(true, std::memory_order_release);
-  slot.done.notify_one();
-}
-
-void ServePlane::park(Shard& shard) {
-  std::unique_lock<std::mutex> lock(shard.wake_mutex);
-  shard.sleeping.store(true, std::memory_order_seq_cst);
-  // Re-check under the flag: a producer that pushed before our store sees
-  // its slot caught here; one that pushed after sees the flag and notifies.
-  if (shard.ring.empty_estimate() && !stop_.load(std::memory_order_acquire)) {
-    shard.wake_cv.wait_for(lock, std::chrono::milliseconds(1));
+  if (options_.decision_cache) {
+    entry.decision = decision;
+    shard.cache[key] = std::move(entry);
   }
-  shard.sleeping.store(false, std::memory_order_relaxed);
-}
-
-void ServePlane::wake(Shard& shard) {
-  if (!shard.sleeping.load(std::memory_order_seq_cst)) return;
-  std::lock_guard<std::mutex> lock(shard.wake_mutex);
-  shard.wake_cv.notify_one();
+  return decision;
 }
 
 std::shared_ptr<AdmissionLedger> ServePlane::ledger_for(

@@ -1,19 +1,19 @@
-// The high-throughput admission front end: per-core serve shards over MPMC
-// rings, a capacity-aware decision cache, and same-shape request coalescing.
+// The high-throughput admission front end: serve shards behind one mutex
+// each, a capacity-aware decision cache, and a shared admission ledger.
 //
 // The epoch machinery (core/epoch.h) already made decide() lock-free, but
-// every caller still paid a full scoring pass (Algorithms 1+2), and batched
-// admission serialized on one thread. This layer turns admission into a
-// pipeline that scales with cores and with request redundancy:
+// every caller still paid a full scoring pass (Algorithms 1+2). This layer
+// lets repeated job shapes skip it:
 //
-//   producers ──round-robin──► Shard 0 [MpmcRing] ── worker ─┐
-//                              Shard 1 [MpmcRing] ── worker ─┼─► decisions
-//                              ...                           │
-//                              Shard N [MpmcRing] ── worker ─┘
+//   callers ──round-robin──► Shard 0 [mutex: epoch pin, cache] ─┐
+//                            Shard 1 [mutex: epoch pin, cache] ─┼─► decisions
+//                            ...                                │
+//                            Shard N [mutex: epoch pin, cache] ─┘
 //
-//  * Each worker drains its ring in batches, re-validating its epoch pin
-//    ONCE per drain (not per request) and serving every drained request
-//    against that one immutable epoch.
+//  * decide() runs on the caller's own thread under its shard's lock: it
+//    refreshes the shard's epoch pin, resolves a degraded epoch, then
+//    replays a cached placement or runs a fresh scoring pass. Errors (a
+//    malformed request) throw to the caller.
 //  * Admission debits flow through an AdmissionLedger: per-node atomic
 //    reservations shared by all shards, reset whenever a new epoch is
 //    published. Fresh scoring passes see the post-debit capacities
@@ -24,11 +24,10 @@
 //    only after an all-or-nothing atomic debit of every chosen node proves
 //    the placement still has headroom. A failed debit invalidates the
 //    entry and falls through to a fresh scoring pass over what is left.
-//  * Concurrent same-shape requests landing in one drain window coalesce:
-//    the first one's scoring pass populates the cache and the rest replay
-//    it, so a burst of identical requests costs one Algorithm-1/2 pass.
-//    An optional wall-clock window (coalesce_window_us) holds a drain open
-//    to gather more of the burst.
+//  * Same-shape requests that queue on a shard's lock behind a scoring
+//    pass replay that pass's entry once they hold the lock, so a burst of
+//    identical requests costs one Algorithm-1/2 pass (`coalesced` counts
+//    those replays).
 //
 // Determinism: with the cache off, a single shard serves a request
 // sequence bit-identically to decide_batch over the same epoch (same
@@ -38,39 +37,26 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/broker.h"
-#include "util/mpmc_ring.h"
 
 namespace nlarm::core {
 
 struct ServeOptions {
-  /// Serve shards (one worker thread each). The intended setting is one
-  /// per core that should serve admission.
+  /// Serve shards: independent locks, epoch pins and decision caches that
+  /// callers are spread over round-robin.
   int shards = 1;
-  /// Per-shard ring capacity (rounded up to a power of two). A full ring
-  /// back-pressures producers (they spin-yield until a slot frees up).
-  std::size_t queue_capacity = 1024;
   /// Decision cache on/off.
   bool decision_cache = true;
-  /// Hold a drain open this many wall microseconds to gather more
-  /// same-shape requests into one scoring pass. 0 = serve what one pop
-  /// sweep found (coalescing then only catches requests already queued).
-  double coalesce_window_us = 0.0;
   /// Debit granted placements from the shared per-epoch AdmissionLedger.
   /// Off = advisory serving (every request scores against the epoch's full
   /// capacity, like plain decide(pin) — the old --serve-threads mode).
   bool debit_capacity = true;
-  /// Max requests one drain serves before re-checking the epoch pin.
-  std::size_t max_drain = 256;
 
   void validate() const;
 };
@@ -82,10 +68,10 @@ struct ServeStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_invalidations = 0;
-  std::uint64_t coalesced = 0;       ///< requests that rode a drain-mate's pass
+  /// Cache hits on an entry its shard scored after the request arrived:
+  /// the request queued on the lock behind that scoring pass.
+  std::uint64_t coalesced = 0;
   std::uint64_t scoring_passes = 0;  ///< fresh Algorithm-1/2 passes
-  std::uint64_t drains = 0;
-  std::uint64_t queue_full_spins = 0;
 };
 
 /// Per-epoch shared admission state: one atomic reservation counter per
@@ -119,32 +105,34 @@ class AdmissionLedger {
   std::vector<std::atomic<int>> remaining_;
 };
 
-/// The sharded admission front end. Owns its worker threads; producers call
-/// decide() from any thread and block until their request is served.
+/// The sharded admission front end. Callers call decide() from any thread;
+/// each request is served on its caller's thread under one shard's lock.
 class ServePlane {
  public:
   /// The broker must outlive the plane and have an epoch published before
-  /// the first decide(). Workers start immediately.
+  /// the plane is constructed.
   ServePlane(ResourceBroker& broker, ServeOptions options);
   ~ServePlane();
 
   ServePlane(const ServePlane&) = delete;
   ServePlane& operator=(const ServePlane&) = delete;
 
-  /// Serves one admission decision through the sharded pipeline (blocking).
-  /// The request's profile must match the published epoch's, and its α/β +
-  /// nprocs/ppn form the decision-cache shape key.
+  /// Serves one admission decision (blocking on the shard's lock while
+  /// another caller is served there). The request's profile must match the
+  /// published epoch's, and its α/β + nprocs/ppn form the decision-cache
+  /// shape key. Throws util::CheckError on a malformed request or after
+  /// stop().
   BrokerDecision decide(const AllocationRequest& request);
 
-  /// Stops the workers after draining every queued request. Idempotent;
-  /// the destructor calls it.
+  /// Waits for in-flight decides to finish and releases every shard's
+  /// epoch pin; any decide() after it throws. Idempotent; the destructor
+  /// calls it.
   void stop();
 
   const ServeOptions& options() const { return options_; }
   ServeStats stats() const;
 
  private:
-  struct Slot;
   struct Shard;
   struct CacheEntry;
 
@@ -163,23 +151,22 @@ class ServePlane {
     std::size_t operator()(const ShapeKey& key) const;
   };
 
-  void worker_loop(Shard& shard);
-  void drain(Shard& shard, EpochPin& pin, std::vector<Slot*>& batch);
-  void serve_slot(Shard& shard, const PreparedSnapshot& prepared,
-                  const char* note, AdmissionLedger* ledger, Slot& slot,
-                  std::vector<ShapeKey>& drain_fresh);
-  void park(Shard& shard);
-  void wake(Shard& shard);
+  /// Cache replay or fresh scoring pass against `prepared`. The caller
+  /// holds `shard.mutex`; `passes_seen` is the shard's pass count read
+  /// before locking.
+  BrokerDecision serve(Shard& shard, const PreparedSnapshot& prepared,
+                       const char* note, const AllocationRequest& request,
+                       std::uint64_t passes_seen);
 
-  /// The ledger for `prepared`'s epoch, created on first use (mutex-
-  /// guarded; shards race only on the first drain after a publish).
+  /// The ledger for `prepared`'s epoch, created on first use and shared
+  /// by every shard serving that epoch.
   std::shared_ptr<AdmissionLedger> ledger_for(const PreparedSnapshot& prepared);
 
   ResourceBroker& broker_;
   ServeOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> next_shard_{0};
-  std::atomic<bool> stop_{false};
+  std::atomic<bool> stopped_{false};
 
   std::mutex ledger_mutex_;
   std::shared_ptr<AdmissionLedger> ledger_;
@@ -192,8 +179,6 @@ class ServePlane {
   std::atomic<std::uint64_t> cache_invalidations_{0};
   std::atomic<std::uint64_t> coalesced_{0};
   std::atomic<std::uint64_t> scoring_passes_{0};
-  std::atomic<std::uint64_t> drains_{0};
-  std::atomic<std::uint64_t> queue_full_spins_{0};
 };
 
 }  // namespace nlarm::core

@@ -198,22 +198,12 @@ NLARM_CATALOG_GAUGE(delta_log_tail_bytes, "nlarm_delta_log_tail_bytes",
                     ".nlarmd delta append-log (follower lag vs file size).")
 
 NLARM_CATALOG_GAUGE(serve_shards, "nlarm_serve_shards",
-                    "Serve shards (worker threads) the sharded admission "
-                    "front end is running.")
-NLARM_CATALOG_GAUGE(serve_shard_queue_depth, "nlarm_serve_shard_queue_depth",
-                    "Requests queued across all serve-shard rings at the "
-                    "last drain (enqueue-side estimate).")
+                    "Serve shards (one lock, epoch pin and decision cache "
+                    "each) the sharded admission front end is running.")
 NLARM_CATALOG_COUNTER(serve_plane_decisions,
                       "nlarm_serve_plane_decisions_total",
                       "Admission decisions served through the sharded "
                       "front end.")
-NLARM_CATALOG_COUNTER(serve_queue_full_spins,
-                      "nlarm_serve_queue_full_spins_total",
-                      "Producer spin-yields on a full serve-shard ring "
-                      "(back-pressure events).")
-NLARM_CATALOG_COUNTER(serve_drains, "nlarm_serve_drains_total",
-                      "Serve-shard drain sweeps (epoch pin re-validated "
-                      "once per sweep).")
 NLARM_CATALOG_COUNTER(serve_cache_hits, "nlarm_serve_cache_hits_total",
                       "Admission decisions replayed from the decision cache "
                       "after a successful capacity re-proof.")
@@ -225,8 +215,8 @@ NLARM_CATALOG_COUNTER(serve_cache_invalidations,
                       "Cached placements invalidated because a chosen node "
                       "no longer had capacity headroom.")
 NLARM_CATALOG_COUNTER(serve_coalesced, "nlarm_serve_coalesced_total",
-                      "Requests that rode a same-shape drain-mate's scoring "
-                      "pass instead of running their own.")
+                      "Cache replays of a same-shape scoring pass that ran "
+                      "while the request queued on its shard's lock.")
 NLARM_CATALOG_COUNTER(serve_scoring_passes,
                       "nlarm_serve_scoring_passes_total",
                       "Fresh Algorithm-1/2 scoring passes run by the serve "
@@ -528,10 +518,7 @@ void register_all() {
   serve_inflight();
   delta_log_tail_bytes();
   serve_shards();
-  serve_shard_queue_depth();
   serve_plane_decisions();
-  serve_queue_full_spins();
-  serve_drains();
   serve_cache_hits();
   serve_cache_misses();
   serve_cache_invalidations();

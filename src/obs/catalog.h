@@ -80,10 +80,7 @@ Gauge& delta_log_tail_bytes();           ///< nlarm_delta_log_tail_bytes
 
 // --- sharded serve plane (core/serve_shard.h) ---
 Gauge& serve_shards();                   ///< nlarm_serve_shards
-Gauge& serve_shard_queue_depth();        ///< nlarm_serve_shard_queue_depth
 Counter& serve_plane_decisions();        ///< nlarm_serve_plane_decisions_total
-Counter& serve_queue_full_spins();       ///< nlarm_serve_queue_full_spins_total
-Counter& serve_drains();                 ///< nlarm_serve_drains_total
 Counter& serve_cache_hits();             ///< nlarm_serve_cache_hits_total
 Counter& serve_cache_misses();           ///< nlarm_serve_cache_misses_total
 Counter& serve_cache_invalidations();    ///< nlarm_serve_cache_invalidations_total

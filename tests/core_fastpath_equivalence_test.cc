@@ -160,13 +160,13 @@ void check_on_snapshot(const monitor::ClusterSnapshot& snap, int nprocs,
   GenerationOptions serial;
   serial.parallel_threshold = -1;
   const std::vector<Candidate> fast_serial =
-      generate_all_candidates(cl, nl, pc, nprocs, request.job, serial);
+      generate_all_candidates(cl, nl, pc, nprocs, request.job, {}, serial);
   util::ThreadPool pool(3);
   GenerationOptions parallel;
   parallel.parallel_threshold = 0;  // always fan out
   parallel.pool = &pool;
   const std::vector<Candidate> fast_parallel =
-      generate_all_candidates(cl, nl, pc, nprocs, request.job, parallel);
+      generate_all_candidates(cl, nl, pc, nprocs, request.job, {}, parallel);
   expect_same_candidates(fast_serial, ref_candidates);
   expect_same_candidates(fast_parallel, ref_candidates);
 

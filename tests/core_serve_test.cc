@@ -1,7 +1,8 @@
 // Sharded admission front end (core/serve_shard.h): SIMD scoring bit-
 // identity, ledger semantics, decision-cache replay/invalidation, request
-// coalescing, and the multi-producer stress cases ThreadSanitizer covers
-// (CI test regex includes "Serve" and "Cache").
+// coalescing on a shard's lock, errors that reach the caller, and the
+// multi-producer stress cases ThreadSanitizer covers (CI test regex
+// includes "Serve" and "Cache").
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -256,16 +257,17 @@ TEST(ServePlaneCacheTest, CapacityInvalidationFallsThroughToFreshScore) {
 }
 
 TEST(ServePlaneCacheTest, CoalescingFansOneScoringPassToConcurrentWaiters) {
-  auto snapshot = versioned_snapshot(12, 4);
+  // 1024 nodes: one scoring pass outlasts the release of a barrier burst,
+  // so the rest of the burst queues on the shard's lock behind it.
+  auto snapshot = versioned_snapshot(1024, 4);
   const AllocationRequest request = request_for(8);
   NetworkLoadAwareAllocator allocator;
   ResourceBroker broker(allocator);
   broker.refresh_epoch(snapshot, RequestProfile::of(request));
 
   ServeOptions options;
-  options.shards = 1;            // one shard: every producer shares a drain
+  options.shards = 1;  // one shard: every producer queues on one lock
   options.debit_capacity = false;
-  options.coalesce_window_us = 1000.0;
   ServePlane plane(broker, options);
 
   constexpr int kProducers = 8;
@@ -290,7 +292,7 @@ TEST(ServePlaneCacheTest, CoalescingFansOneScoringPassToConcurrentWaiters) {
   for (std::thread& t : producers) t.join();
 
   // Same epoch + same shape: every waiter must receive the identical
-  // placement regardless of which drain served it.
+  // placement whether it was scored or replayed.
   EXPECT_EQ(mismatches.load(), 0);
   for (int p = 1; p < kProducers; ++p) {
     expect_same_decision(firsts[static_cast<std::size_t>(p)], firsts[0]);
@@ -301,11 +303,11 @@ TEST(ServePlaneCacheTest, CoalescingFansOneScoringPassToConcurrentWaiters) {
   EXPECT_EQ(storm.scoring_passes, 1u)
       << "one shape against one epoch needs exactly one pass";
 
-  // Coalescing needs >= 2 same-shape requests inside the scoring drain
-  // itself. Under sanitizers, thread startup can serialize the storm enough
-  // that the first drain holds a single slot; retry barrier-released bursts
-  // on fresh shapes (distinct alpha bits -> distinct cache keys) until one
-  // burst lands together.
+  // Coalescing needs a same-shape request to arrive while the shape's
+  // scoring pass runs. Under sanitizers, thread startup can serialize the
+  // storm enough that the pass finishes before the others arrive; retry
+  // barrier-released bursts on fresh shapes (distinct alpha bits ->
+  // distinct cache keys) until one burst lands together.
   for (int attempt = 0; attempt < 10 && plane.stats().coalesced == 0;
        ++attempt) {
     AllocationRequest fresh = request;
@@ -325,7 +327,7 @@ TEST(ServePlaneCacheTest, CoalescingFansOneScoringPassToConcurrentWaiters) {
   }
   plane.stop();
   EXPECT_GT(plane.stats().coalesced, 0u)
-      << "concurrent same-shape requests should ride a drain-mate's pass";
+      << "concurrent same-shape requests should ride a queued-behind pass";
 }
 
 TEST(ServePlaneStressTest, ManyProducersManyShardsWithEpochChurn) {
@@ -337,7 +339,6 @@ TEST(ServePlaneStressTest, ManyProducersManyShardsWithEpochChurn) {
 
   ServeOptions options;
   options.shards = 3;
-  options.queue_capacity = 16;  // small: exercises full-ring backpressure
   options.decision_cache = true;
   options.debit_capacity = true;
   ServePlane plane(broker, options);
@@ -391,20 +392,37 @@ TEST(ServePlaneTest, OptionsAreValidated) {
         bad.validate();
       },
       util::CheckError);
-  EXPECT_THROW(
-      {
-        ServeOptions bad;
-        bad.coalesce_window_us = -1.0;
-        bad.validate();
-      },
-      util::CheckError);
-  EXPECT_THROW(
-      {
-        ServeOptions bad;
-        bad.max_drain = 0;
-        bad.validate();
-      },
-      util::CheckError);
+}
+
+TEST(ServePlaneTest, MalformedRequestThrowsToTheCaller) {
+  NetworkLoadAwareAllocator allocator;
+  ResourceBroker broker(allocator);
+  broker.refresh_epoch(versioned_snapshot(8, 1),
+                       RequestProfile::of(request_for(4)));
+  ServePlane plane(broker, ServeOptions{});
+
+  EXPECT_THROW(plane.decide(request_for(0)), util::CheckError);
+  // The shard is still usable after the throw.
+  EXPECT_EQ(plane.decide(request_for(4)).action,
+            BrokerDecision::Action::kAllocate);
+  EXPECT_EQ(plane.stats().decisions, 1u);
+}
+
+TEST(ServePlaneTest, DecideAfterStopThrows) {
+  NetworkLoadAwareAllocator allocator;
+  ResourceBroker broker(allocator);
+  const AllocationRequest request = request_for(4);
+  broker.refresh_epoch(versioned_snapshot(8, 1), RequestProfile::of(request));
+  ServeOptions options;
+  options.shards = 2;
+  ServePlane plane(broker, options);
+  ASSERT_EQ(plane.decide(request).action, BrokerDecision::Action::kAllocate);
+
+  plane.stop();
+  EXPECT_THROW(plane.decide(request), util::CheckError);
+  EXPECT_THROW(plane.decide(request), util::CheckError);  // the other shard
+  plane.stop();  // idempotent
+  EXPECT_EQ(plane.stats().decisions, 1u);
 }
 
 TEST(ServePlaneTest, RequiresPublishedEpoch) {

@@ -337,13 +337,10 @@ int main(int argc, char** argv) {
         "replicated rebuilds and their decides"},
        {"serve-shards",
         "route serve mode through the sharded admission front end with this "
-        "many shard workers (0 = direct decide(pin) per thread)"},
+        "many shards (0 = direct decide(pin) per thread)"},
        {"decision-cache",
         "1|0: serve-shard decision cache on/off (default 1; only with "
         "--serve-shards)"},
-       {"coalesce-window-us",
-        "hold each serve-shard drain open this many microseconds to gather "
-        "same-shape bursts (default 0; only with --serve-shards)"},
        {"chaos-spec",
         "fault-injection schedule (see sim/chaos.h), e.g. "
         "\"seed=7; stall:nodestate:0.1@30+120; tear:snapshot@60\"; runs the "
@@ -903,15 +900,13 @@ int main(int argc, char** argv) {
     servers.reserve(static_cast<std::size_t>(serve_threads));
     std::unique_ptr<core::ServePlane> plane;
     if (serve_shards > 0) {
-      // Sharded front end: producers enqueue into per-core shard rings and
-      // the shard workers score (or cache-replay) against the epoch.
-      // Advisory serving like the direct mode — the closed-loop hammer
-      // would otherwise drain one epoch's capacity in milliseconds.
+      // Sharded front end: each serve thread scores (or cache-replays)
+      // against the epoch under one shard's lock. Advisory serving like the
+      // direct mode — the closed-loop hammer would otherwise drain one
+      // epoch's capacity in milliseconds.
       core::ServeOptions serve_options;
       serve_options.shards = serve_shards;
       serve_options.decision_cache = parser.get_long("decision-cache", 1) != 0;
-      serve_options.coalesce_window_us =
-          parser.get_double("coalesce-window-us", 0.0);
       serve_options.debit_capacity = false;
       plane = std::make_unique<core::ServePlane>(broker, serve_options);
     }
@@ -955,19 +950,16 @@ int main(int argc, char** argv) {
                     static_cast<double>(stats.decisions)
               : 0.0;
       std::fprintf(stderr,
-                   "serve plane: %d shard(s), %llu drain(s), cache %llu hit / "
-                   "%llu miss / %llu invalidation(s) (%.1f%% hit), %llu "
-                   "coalesced, %llu scoring pass(es), %llu full-ring spin(s), "
-                   "simd=%s\n",
+                   "serve plane: %d shard(s), cache %llu hit / %llu miss / "
+                   "%llu invalidation(s) (%.1f%% hit), %llu coalesced, %llu "
+                   "scoring pass(es), simd=%s\n",
                    serve_shards,
-                   static_cast<unsigned long long>(stats.drains),
                    static_cast<unsigned long long>(stats.cache_hits),
                    static_cast<unsigned long long>(stats.cache_misses),
                    static_cast<unsigned long long>(stats.cache_invalidations),
                    hit_rate,
                    static_cast<unsigned long long>(stats.coalesced),
                    static_cast<unsigned long long>(stats.scoring_passes),
-                   static_cast<unsigned long long>(stats.queue_full_spins),
                    core::simd::active_kernel_name());
       plane.reset();
     }

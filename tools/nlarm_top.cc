@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
                     series(m, "nlarm_epoch_refresh_p99_seconds")).c_str());
 
     // Sharded front end (core/serve_shard.h): decisions/sec through the
-    // plane, cache effectiveness, coalescing, and queue pressure.
+    // plane, cache effectiveness and coalescing.
     const double plane_hits = series(m, "nlarm_serve_cache_hits_total");
     const double plane_hit_pct =
         plane_decisions > 0.0 ? 100.0 * plane_hits / plane_decisions : 0.0;
@@ -216,15 +216,13 @@ int main(int argc, char** argv) {
         plane_decisions > 0.0 ? 100.0 * plane_coalesced / plane_decisions
                               : 0.0;
     std::printf("shards  %8.0f decide/s  cache %3.0f%% hit  coalesced %3.0f%%"
-                "  queue %.0f  on %.0f shard(s)\n",
+                "  on %.0f shard(s)\n",
                 plane_rate, plane_hit_pct, plane_coalesce_pct,
-                series(m, "nlarm_serve_shard_queue_depth"),
                 series(m, "nlarm_serve_shards"));
     std::printf("        invalidations %.0f  scoring-passes %.0f  "
-                "full-ring spins %.0f  simd-kernel %.0f\n",
+                "simd-kernel %.0f\n",
                 series(m, "nlarm_serve_cache_invalidations_total"),
                 series(m, "nlarm_serve_scoring_passes_total"),
-                series(m, "nlarm_serve_queue_full_spins_total"),
                 series(m, "nlarm_simd_kernel"));
     std::printf("\n");
     std::printf("totals  decisions %.0f  allocations %.0f  waits %.0f  "
